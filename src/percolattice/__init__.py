@@ -20,8 +20,6 @@ from .espectrum import (
     esd_cdf,
     monte_carlo_spectrum,
     pool,
-    row_normalized_spectrum,
-    scaled_spectrum,
     smoothed_density,
 )
 from .inversion import SpectralCurve, auto_grid, cdf_curve, density_curve

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .canonical import (
+    ORACLE_NODE_LIMIT,
     OracleError,
     SolverError,
     build_problem,
@@ -258,8 +259,10 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig, z_list: list[complex] | None) -> int:
     spec = cfg.spec()
-    if node_count(spec) > 600:
-        raise SizeLimitError(f"oracle requires N <= 600, got {node_count(spec)}")
+    if node_count(spec) > ORACLE_NODE_LIMIT:
+        raise SizeLimitError(
+            f"oracle requires N <= {ORACLE_NODE_LIMIT}, got {node_count(spec)}"
+        )
     problem = build_problem(spec)
     zs = z_list if z_list else oracle_z_grid()
     worst = 0.0
@@ -334,10 +337,6 @@ def main(argv=None) -> int:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except ValueError as exc:
-        # size rejections from the eigensolve path carry plain ValueError
-        if "eigensolve refused" in str(exc):
-            print(f"size limit: {exc}", file=sys.stderr)
-            return EXIT_SIZE
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import expected_degree, node_count
+from .lattice import SizeLimitError, expected_degree, node_count
 from .percolation import PercolationSample, adjacency
 
 # Symmetry tolerance for the dense eigensolve path.
@@ -36,20 +36,10 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     if n > EIGENSOLVE_LIMIT:
-        raise ValueError(f"dense eigensolve refused for N={n} > {EIGENSOLVE_LIMIT}")
+        raise SizeLimitError(f"dense eigensolve refused for N={n} > {EIGENSOLVE_LIMIT}")
     if np.abs(matrix - matrix.T).max(initial=0.0) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within tolerance 1e-12")
     return np.linalg.eigvalsh(matrix)
-
-
-def spectrum_of(matrix: np.ndarray) -> EmpiricalSpectrum:
-    return EmpiricalSpectrum(eigenvalues(matrix), source_count=1)
-
-
-def scaled_spectrum(sample: PercolationSample) -> EmpiricalSpectrum:
-    """Spectrum of W = A/gamma for one sample."""
-    gamma = expected_degree(sample.spec)
-    return EmpiricalSpectrum(eigenvalues(adjacency(sample)) / gamma, source_count=1)
 
 
 def row_normalized_eigenvalues(sample: PercolationSample) -> np.ndarray:
@@ -67,10 +57,6 @@ def row_normalized_eigenvalues(sample: PercolationSample) -> np.ndarray:
         sub = a[np.ix_(live, live)] * s[:, None] * s[None, :]
         vals[: live.sum()] = eigenvalues(sub)
     return np.sort(vals)
-
-
-def row_normalized_spectrum(sample: PercolationSample) -> EmpiricalSpectrum:
-    return EmpiricalSpectrum(row_normalized_eigenvalues(sample), source_count=1)
 
 
 def pool(spectra) -> EmpiricalSpectrum:
@@ -154,7 +140,7 @@ def monte_carlo_spectrum(spec, seed: int, trials: int, normalized: bool = False,
 
     n = node_count(spec)
     if n > EIGENSOLVE_LIMIT:
-        raise ValueError(f"dense eigensolve refused for N={n} > {EIGENSOLVE_LIMIT}")
+        raise SizeLimitError(f"dense eigensolve refused for N={n} > {EIGENSOLVE_LIMIT}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spectra = []

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .canonical import CanonicalProblem
+from .canonical import CanonicalProblem, SolverError
 
 # Tiny negative densities are rounding noise; anything worse means the
 # transform is off the Herglotz branch.
@@ -67,6 +67,8 @@ def density_curve(stieltjes, grid, epsilon: float, label: str = "") -> SpectralC
     for k, x in enumerate(grid):
         try:
             s = stieltjes(complex(x, epsilon))
+        except SolverError as exc:
+            raise SolverError(f"at x={x}: {exc}", exc.residual, exc.iterations) from exc
         except Exception as exc:
             raise RuntimeError(f"Stieltjes evaluation failed at x={x}: {exc}") from exc
         dens[k] = s.imag / np.pi

@@ -23,7 +23,7 @@ _NODE_COUNT_LIMIT = 2**63 - 1
 
 
 class SizeLimitError(ValueError):
-    """Requested dense materialization exceeds the configured size limit."""
+    """A requested dense computation (adjacency, eigensolve, oracle) exceeds its size limit."""
 
 
 @dataclass(frozen=True)
@@ -141,25 +141,33 @@ def lattice_adjacency(spec: LatticeSpec) -> np.ndarray:
 
 
 def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
-    """All supergraph links as an (E, 3) array of (i, j, dim), i < j, 1-based.
+    """All supergraph links as an (E, 3) int64 array of (i, j, dim), i < j, 1-based.
 
-    Rows are sorted lexicographically by (i, j); this fixed order is the
-    canonical edge enumeration used for reproducible sampling and export.
+    Rows are sorted lexicographically by (i, j), and a row's position is
+    its index into the Philox stream that decides whether the link is kept
+    (see percolation.sample).  This order is therefore part of the output
+    contract: changing it changes every sample at a given (spec, seed).
+
+    Built per (dimension d, offset k): with stride s_d = M_0 ... M_{d-1},
+    every node whose d-th digit is below M_d - k links to node i + k s_d.
     """
     n = node_count(spec)
-    nodes = np.arange(1, n + 1).reshape(spec.dims, order="F")
-    rows_i, rows_j, rows_d = [], [], []
-    for d, m in enumerate(spec.dims):
-        for a in range(m):
-            for b in range(a + 1, m):
-                i = np.take(nodes, a, axis=d).ravel()
-                j = np.take(nodes, b, axis=d).ravel()
-                rows_i.append(i)
-                rows_j.append(j)
-                rows_d.append(np.full(i.shape, d, dtype=np.int64))
+    nodes = np.arange(1, n + 1, dtype=np.int64)
+    rows_i, rows_j = [], []
+    stride = 1
+    for m in spec.dims:
+        # C-order view as (higher digits, digit d, lower digits)
+        by_digit = nodes.reshape(-1, m, stride)
+        for k in range(1, m):
+            i = by_digit[:, : m - k, :].ravel()
+            rows_i.append(i)
+            rows_j.append(i + k * stride)
+        stride *= m
     i = np.concatenate(rows_i)
     j = np.concatenate(rows_j)
-    dd = np.concatenate(rows_d)
+    # dimension d contributes N (M_d - 1) / 2 links, one block after another
+    per_dim = [n * (m - 1) // 2 for m in spec.dims]
+    dd = np.repeat(np.arange(spec.ndim, dtype=np.int64), per_dim)
     order = np.lexsort((j, i))
     return np.column_stack([i[order], j[order], dd[order]])
 
@@ -197,7 +205,9 @@ def expected_spectrum(spec: LatticeSpec) -> ExpectedSpectrum:
     for v, m in zip(values, mults):
         merged[float(v)] = merged.get(float(v), 0) + int(m)
     entries = tuple(sorted(merged.items()))
-    assert sum(m for _, m in entries) == node_count(spec)
+    total = sum(m for _, m in entries)
+    if total != node_count(spec):
+        raise RuntimeError(f"multiplicities sum to {total}, not N={node_count(spec)}")
     return ExpectedSpectrum(entries)
 
 

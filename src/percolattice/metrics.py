@@ -78,5 +78,6 @@ def compare(a: SpectralCurve, b: SpectralCurve) -> DistanceReport:
     grid = _shared_grid(a, b)
     kol = kolmogorov_distance(a, b)
     lev = levy_distance(a, b)
-    assert lev <= kol + 1e-12, f"levy {lev} exceeds kolmogorov {kol}"
+    if lev > kol + 1e-12:
+        raise RuntimeError(f"levy {lev} exceeds kolmogorov {kol}")
     return DistanceReport(kolmogorov=kol, levy=lev, grid_points=len(grid))

@@ -82,15 +82,6 @@ def row_normalized_adjacency(sample: PercolationSample) -> np.ndarray:
     return inv[:, None] * a
 
 
-def degrees(sample: PercolationSample) -> np.ndarray:
-    """Node degrees of the sampled graph."""
-    n = node_count(sample.spec)
-    deg = np.zeros(n, dtype=np.int64)
-    np.add.at(deg, sample.edges[:, 0] - 1, 1)
-    np.add.at(deg, sample.edges[:, 1] - 1, 1)
-    return deg
-
-
 def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:
     """Closed-form condition values for the scaled adjacency model.
 

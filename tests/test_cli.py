@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from percolattice import cli
+from percolattice.canonical import SolverError
 from percolattice.cli import main
 
 
@@ -53,6 +55,15 @@ class TestSolve:
         _, cols = read_csv(out)
         assert np.all(np.diff(cols["F_det"]) >= -1e-12)
         assert cols["F_det"][-1] >= 0.97
+
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def diverges(problem, z, initial=None):
+            raise SolverError("forced", 1.0, 1)
+
+        monkeypatch.setattr(cli, "solve_alpha", diverges)
+        assert main(["solve", "--dims", "4,5", "--probs", "0.7,0.5",
+                     "--output", str(tmp_path / "det.csv")]) == 3
+        assert "solver failure" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -13,7 +13,12 @@ from percolattice.espectrum import (
     row_normalized_eigenvalues,
     smoothed_density,
 )
-from percolattice.lattice import LatticeSpec, expected_matrix, expected_spectrum
+from percolattice.lattice import (
+    LatticeSpec,
+    SizeLimitError,
+    expected_matrix,
+    expected_spectrum,
+)
 from percolattice.percolation import sample, scaled_adjacency
 
 
@@ -37,7 +42,7 @@ class TestEigenvalues:
             eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_rejects_oversize(self):
-        with pytest.raises(ValueError, match="refused"):
+        with pytest.raises(SizeLimitError, match="refused"):
             eigenvalues(np.zeros((4001, 4001)))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from percolattice.canonical import build_problem, solve_alpha
+from percolattice.canonical import SolverError, build_problem, solve_alpha
 from percolattice.inversion import (
     SpectralCurve,
     auto_grid,
@@ -54,6 +54,14 @@ class TestDensityCurve:
 
         with pytest.raises(RuntimeError, match="x=0.25"):
             density_curve(bad, np.array([0.25]), 0.01)
+
+        def diverges(z):
+            raise SolverError("forced", 1.0, 1)
+
+        # solver failures keep their type, so the CLI maps them to exit 3
+        with pytest.raises(SolverError, match="x=0.25: forced") as info:
+            density_curve(diverges, np.array([0.25]), 0.01)
+        assert (info.value.residual, info.value.iterations) == (1.0, 1)
 
     def test_nonnegative_for_herglotz_input(self):
         grid = np.linspace(-3, 3, 400)

@@ -19,6 +19,36 @@ from percolattice.lattice import (
 )
 
 
+def _reference_supergraph_edges(spec):
+    """The original pair-loop enumeration: one block per digit pair (a, b)."""
+    n = node_count(spec)
+    nodes = np.arange(1, n + 1).reshape(spec.dims, order="F")
+    rows_i, rows_j, rows_d = [], [], []
+    for d, m in enumerate(spec.dims):
+        for a in range(m):
+            for b in range(a + 1, m):
+                i = np.take(nodes, a, axis=d).ravel()
+                j = np.take(nodes, b, axis=d).ravel()
+                rows_i.append(i)
+                rows_j.append(j)
+                rows_d.append(np.full(i.shape, d, dtype=np.int64))
+    i = np.concatenate(rows_i)
+    j = np.concatenate(rows_j)
+    dd = np.concatenate(rows_d)
+    order = np.lexsort((j, i))
+    return np.column_stack([i[order], j[order], dd[order]])
+
+
+# D = 1..5; all-twos at every D and a lone M_d = 2 in every position;
+# the paper's and the benchmark's sizes.
+REFERENCE_EDGE_DIMS = [
+    (5,), (3, 4), (2, 3, 4), (3, 2, 4, 2), (3, 2, 4, 2, 3),
+    (2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2),
+    (2, 5), (5, 2), (3, 2, 4), (3, 4, 2),
+    (500,), (30, 50), (10, 10, 20), (3, 4, 5, 6, 7),
+]
+
+
 def small_specs():
     return st.integers(1, 4).flatmap(
         lambda d: st.tuples(
@@ -134,11 +164,23 @@ class TestAdjacency:
             dimension_adjacency(LatticeSpec((200, 200), (0.5, 0.5)), 0)
 
     def test_supergraph_edges_canonical(self):
-        e = supergraph_edges(self.spec)
-        assert e.shape == (12 * 5 // 2, 3)
-        assert np.all(e[:, 0] < e[:, 1])
-        keys = list(map(tuple, e[:, :2]))
-        assert keys == sorted(keys)
+        for spec, degree in ((self.spec, 5), (LatticeSpec((2, 3, 4), (0.5,) * 3), 6)):
+            e = supergraph_edges(spec)
+            n = node_count(spec)
+            assert e.shape == (n * degree // 2, 3)
+            assert np.all(e[:, 0] < e[:, 1])
+            keys = list(map(tuple, e[:, :2]))
+            assert keys == sorted(keys)
+            assert all(are_adjacent(spec, int(i), int(j)) for i, j in keys)
+
+    @pytest.mark.parametrize("dims", REFERENCE_EDGE_DIMS, ids=str)
+    def test_supergraph_edges_match_reference(self, dims):
+        spec = LatticeSpec(dims, (0.5,) * len(dims))
+        got = supergraph_edges(spec)
+        want = _reference_supergraph_edges(spec)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestExpectedDegree:

@@ -19,15 +19,9 @@ grid = auto_grid(problem, points=2000, margin=0.1)
 eps = default_epsilon(grid)
 print(f"grid [{grid[0]:.3f}, {grid[-1]:.3f}], epsilon = {eps:.4g}")
 
-# deterministic curve: one scalar fixed point per grid point, warm-started
-alpha = None
-def stieltjes(z):
-    global alpha
-    sol = solve_alpha(problem, z, initial=alpha)
-    alpha = sol.alpha_principal
-    return alpha
-
-det = cdf_from_density(density_curve(stieltjes, grid, eps, label="deterministic"))
+# deterministic curve: the scalar canonical equation, solved on the whole grid
+det = cdf_from_density(density_curve(lambda z: solve_alpha(problem, z).alpha_principal,
+                                     grid, eps, label="deterministic"))
 
 # empirical curve: pooled spectrum of 50 percolations
 pooled = monte_carlo_spectrum(spec, seed=42, trials=50)

@@ -18,13 +18,7 @@ center = -1.0 / (spec.dims[0] - 1)
 print(f"sigma^2 = {sigma2:.3e}, semicircle radius {radius:.4f} at {center:.2e}")
 
 xs = np.linspace(center - 0.9 * radius, center + 0.9 * radius, 181)
-alpha = None
-density = []
-for x in xs:
-    sol = solve_alpha(problem, complex(x, 1e-6), initial=alpha)
-    alpha = sol.alpha_principal
-    density.append(alpha.imag / np.pi)
-density = np.array(density)
+density = solve_alpha(problem, xs + 1e-6j).alpha_principal.imag / np.pi
 
 semicircle = np.sqrt(np.clip(radius**2 - (xs - center) ** 2, 0, None)) / (2 * np.pi * sigma2)
 print(f"sup |solver density - semicircle| = {np.abs(density - semicircle).max():.3e}")

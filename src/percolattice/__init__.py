@@ -7,7 +7,6 @@ from .canonical import (
     OracleError,
     SolverError,
     build_problem,
-    deterministic_stieltjes,
     matrix_k1_oracle,
     recover_all_alphas,
     solve_alpha,

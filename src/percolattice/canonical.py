@@ -61,8 +61,8 @@ class CanonicalProblem:
 
 @dataclass(frozen=True)
 class CanonicalSolution:
-    z: complex
-    alpha_principal: complex
+    z: complex | np.ndarray
+    alpha_principal: complex | np.ndarray
     residual: float
     iterations: int
 
@@ -91,131 +91,191 @@ def build_problem(spec: LatticeSpec) -> CanonicalProblem:
     )
 
 
-def solve_alpha(
-    problem: CanonicalProblem,
-    z: complex,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    initial: complex | None = None,
-) -> CanonicalSolution:
-    """Solve the scalar self-consistency equation at z (Im z != 0).
+# Grid points solved together. Every temporary is a length-block vector, so
+# memory stays flat however long the grid is.
+_BLOCK = 2048
 
-    Damped fixed-point iteration with the damping halved whenever the
-    candidate would leave the Herglotz branch or fail to shrink the
-    residual; a safeguarded Newton step takes over when the fixed point
-    stalls (it always does near the real axis, where the map is barely
-    contractive).
+# Continuation in |Im z|: start here, divide by _LEVEL_RATIO per level.
+_START_IM = 2.0
+_LEVEL_RATIO = 4.0
+
+# Residual that ends an intermediate continuation level.
+_LEVEL_TOL = 1e-6
+
+# Newton sweeps per level, and step halvings per sweep before a point
+# falls back to the averaged map.
+_MAX_SWEEPS = 200
+_MAX_HALVINGS = 40
+
+
+def _atoms(problem: CanonicalProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct branch values and their weights m_j / N, equal values merged."""
+    values, where = np.unique(problem.branch_values, return_inverse=True)
+    weights = np.bincount(where, weights=problem.branch_multiplicities)
+    return values, weights / problem.node_count
+
+
+def _g(atoms, weights, sig2, z, alpha, derivative=False):
+    """g(alpha) = sum_k w_k / (b_k - z - sig2*alpha), and optionally g'(alpha)."""
+    shift = z + sig2 * alpha
+    g = np.zeros_like(shift)
+    gp = np.zeros_like(shift) if derivative else None
+    for b, w in zip(atoms, weights):
+        q = 1.0 / (b - shift)
+        g += w * q
+        if derivative:
+            gp += w * q * q
+    return (g, sig2 * gp) if derivative else g
+
+
+def _solve_level(atoms, weights, sig2, z, alpha, tol):
+    """Newton sweeps at fixed z until |alpha - g(alpha)| <= tol at every point.
+
+    A point whose Newton step leaves its half-plane or fails to shrink the
+    residual, at every one of _MAX_HALVINGS step lengths, takes one step of
+    the averaged map instead. Returns alpha, |residual| and the sweep count.
     """
-    z = complex(z)
-    if z.imag == 0:
+    s = np.sign(z.imag)
+    g, gp = _g(atoms, weights, sig2, z, alpha, derivative=True)
+    r = alpha - g
+    sweeps = 0
+    while sweeps < _MAX_SWEEPS:
+        act = np.flatnonzero(np.abs(r) > tol)
+        if act.size == 0:
+            break
+        sweeps += 1
+        za, aa, ra, sa = z[act], alpha[act], r[act], s[act]
+        step = ra / (1.0 - gp[act])
+        left = np.arange(act.size)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            cand = aa[left] - t * step[left]
+            inside = sa[left] * cand.imag > 0
+            rc = np.full(left.size, np.inf, dtype=complex)
+            rc[inside] = cand[inside] - _g(
+                atoms, weights, sig2, za[left][inside], cand[inside])
+            ok = np.abs(rc) < np.abs(ra[left])
+            aa[left[ok]] = cand[ok]
+            left = left[~ok]
+            if left.size == 0:
+                break
+            t *= 0.5
+        # averaged map (alpha + g(alpha)) / 2 = alpha - r / 2: it maps the
+        # half-plane into itself, so it converges from any start
+        aa[left] -= 0.5 * ra[left]
+        alpha[act] = aa
+        ga, gp[act] = _g(atoms, weights, sig2, za, aa, derivative=True)
+        r[act] = aa - ga
+    return alpha, np.abs(r), sweeps
+
+
+def _solve_block(atoms, weights, sig2, z, tol):
+    """Continuation in |Im z| from _START_IM down to each point's own |Im z|."""
+    y = np.abs(z.imag)
+    alpha = 1j * np.sign(z.imag)
+    residual = np.empty(z.shape)
+    sweeps = 0
+    im = _START_IM
+    todo = np.ones(z.shape, dtype=bool)
+    while todo.any():
+        idx = np.flatnonzero(todo)
+        final = y[idx] >= im
+        zk = np.where(final, z[idx], z.real[idx] + 1j * np.sign(z.imag[idx]) * im)
+        level_tol = np.where(final, tol, _LEVEL_TOL)
+        alpha[idx], residual[idx], n = _solve_level(
+            atoms, weights, sig2, zk, alpha[idx], level_tol)
+        sweeps += n
+        todo[idx[final]] = False
+        im /= _LEVEL_RATIO
+    return alpha, residual, sweeps
+
+
+def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSolution:
+    """Solve the scalar self-consistency equation at z (Im z != 0 everywhere).
+
+    z is a complex scalar or a 1-D array of them; every point is solved at
+    once, in blocks of _BLOCK points, on the distinct branch values (equal
+    b_j merged). Each point starts at i*sign(Im z) with |Im z| = 2 and is
+    continued down to its own |Im z|, dividing by 4 per level; the solution
+    at one level starts the next. At each level every unconverged point
+    takes a Newton step alpha <- alpha - t*r/(1 - g'(alpha)) on the residual
+    r = alpha - g(alpha), with t halved per point until the iterate stays
+    on its half-plane (Im z * Im alpha > 0) and |r| shrinks. If no t does,
+    the point takes one step of the averaged map alpha <- (alpha + g(alpha))/2,
+    which maps the half-plane strictly into itself and so, by the
+    Earle-Hamilton theorem, converges from any start (Helton, Rashidi Far
+    and Speicher, "Operator-valued semicircular elements: solving a
+    quadratic matrix equation with positivity constraints", IMRN 2007).
+    Intermediate levels stop at |r| <= 1e-6, the last at |r| <= tol.
+
+    Returns alpha_principal with z's shape (a complex for scalar z), the
+    worst |r| over the points and, as iterations, the largest number of
+    vectorized sweeps any block needed. Raises SolverError naming the
+    worst point if any point misses tol.
+    """
+    scalar = np.ndim(z) == 0
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if zs.ndim != 1:
+        raise ValueError("solve_alpha takes a scalar or a 1-D array of z")
+    if np.any(zs.imag == 0):
         raise ValueError("solve_alpha requires Im z != 0")
-    s = 1.0 if z.imag > 0 else -1.0
-    w = problem.branch_multiplicities / problem.node_count
-    b = problem.branch_values
+    atoms, weights = _atoms(problem)
     sig2 = problem.variance_sum
 
-    def g(a):
-        return complex(np.sum(w / (b - z - sig2 * a)))
-
     if sig2 == 0.0:
-        alpha = g(0.0)
-        return CanonicalSolution(z=z, alpha_principal=alpha, residual=0.0, iterations=1)
-
-    alpha = complex(initial) if initial is not None else 1j * s
-    if s * alpha.imag <= 0:
-        alpha = 1j * s
-    r = alpha - g(alpha)
-    eta = 1.0
-    it = 0
-    while abs(r) > tol and it < max_iter:
-        it += 1
-        accepted = False
-        if eta >= 1e-4:
-            cand = alpha - eta * r  # = (1 - eta) alpha + eta g(alpha)
-            if s * cand.imag > 0:
-                rc = cand - g(cand)
-                # demand real progress; barely-contractive steps (the rule
-                # near the real axis) are handed to Newton instead
-                if abs(rc) < 0.9 * abs(r):
-                    alpha, r = cand, rc
-                    eta = min(1.0, 2.0 * eta)
-                    accepted = True
-            if not accepted:
-                eta *= 0.5
-        if not accepted:
-            gp = sig2 * complex(np.sum(w / (b - z - sig2 * alpha) ** 2))
-            denom = 1.0 - gp
-            step = r / denom if denom != 0 else r
-            t = 1.0
-            while t > 1e-12:
-                cand = alpha - t * step
-                if s * cand.imag > 0:
-                    rc = cand - g(cand)
-                    if abs(rc) < abs(r):
-                        alpha, r = cand, rc
-                        accepted = True
-                        break
-                t *= 0.5
-            if not accepted:
-                # stalled from this iterate: restart from the canonical start
-                restart = 1j * s
-                rr = restart - g(restart)
-                if abs(rr) < abs(r):
-                    alpha, r = restart, rr
-                    eta = 1.0
-                else:
-                    raise SolverError(
-                        f"fixed point stalled at z={z} with residual {abs(r):.3e}",
-                        residual=abs(r), iterations=it,
-                    )
-    if abs(r) > tol:
-        raise SolverError(
-            f"no convergence at z={z} after {it} iterations (residual {abs(r):.3e})",
-            residual=abs(r), iterations=it,
-        )
-    return CanonicalSolution(z=z, alpha_principal=alpha, residual=abs(r), iterations=max(it, 1))
-
-
-def deterministic_stieltjes(problem: CanonicalProblem, z: complex, **kwargs) -> complex:
-    """Stieltjes transform of the deterministic equivalent: the principal alpha."""
-    return solve_alpha(problem, z, **kwargs).alpha_principal
-
-
-def _lambda_factor(m: int, i_d: int, j_d: int) -> float:
-    if i_d == 1:
-        return 1.0
-    return float(m - 1) if j_d == 0 else -1.0
+        alpha = _g(atoms, weights, 0.0, zs, np.zeros_like(zs))
+        residual = np.zeros(zs.shape)
+        sweeps = 1
+    else:
+        alpha = np.empty_like(zs)
+        residual = np.empty(zs.shape)
+        sweeps = 0
+        for lo in range(0, zs.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            alpha[block], residual[block], n = _solve_block(
+                atoms, weights, sig2, zs[block], tol)
+            sweeps = max(sweeps, n)
+        if not np.all(residual <= tol):
+            worst = int(np.argmax(residual))
+            raise SolverError(
+                f"no convergence at z={complex(zs[worst])} after {sweeps} sweeps "
+                f"(residual {residual[worst]:.3e} > tol {tol:.1e})",
+                residual=float(residual[worst]), iterations=sweeps,
+            )
+    return CanonicalSolution(
+        z=complex(zs[0]) if scalar else zs,
+        alpha_principal=complex(alpha[0]) if scalar else alpha,
+        residual=float(residual.max(initial=0.0)),
+        iterations=max(sweeps, 1),
+    )
 
 
 def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -> AlphaVector:
-    """Solve the full 2^D linear system for every resolvent coefficient."""
+    """Solve the full 2^D linear system for every resolvent coefficient.
+
+    Takes the solution at one scalar z. The system matrix is the Kronecker product over dimensions of the 2x2
+    factors [[M_d - 1, 1], [-1, 1]] (rows j_d, columns i_d), each with
+    determinant M_d >= 2, so it is solved one axis at a time in O(D 2^D)
+    with the factor inverses [[1, -1], [1, M_d - 1]] / M_d.
+    """
     spec = problem.spec
     d = spec.ndim
-    idx = list(product((0, 1), repeat=d))
-    size = len(idx)
-    mat = np.empty((size, size))
-    for r, j in enumerate(idx):
-        for c, i in enumerate(idx):
-            prod = 1.0
-            for m, i_d, j_d in zip(spec.dims, i, j):
-                prod *= _lambda_factor(m, i_d, j_d)
-            mat[r, c] = prod
     alpha = solution.alpha_principal
     rhs = 1.0 / (
         problem.branch_values - solution.z - problem.variance_sum * alpha
     )
-    if np.linalg.cond(mat) > 1e12:
-        raise ValueError(
-            f"coefficient system is numerically singular for dims {spec.dims}"
-        )
-    coeff = np.linalg.solve(mat, rhs)
-    principal = coeff[idx.index((1,) * d)]
+    coeff = rhs.reshape((2,) * d)
+    for axis, m in enumerate(spec.dims):
+        inverse = np.array([[1.0, -1.0], [1.0, m - 1.0]]) / m
+        coeff = np.moveaxis(np.tensordot(inverse, coeff, axes=(1, axis)), 0, axis)
+    principal = coeff[(1,) * d]
     if abs(principal - alpha) > 1e-10 * max(1.0, abs(alpha)):
         raise ValueError(
             f"recovered principal coefficient {principal} disagrees with "
             f"solver value {alpha}"
         )
-    return AlphaVector(coefficients={i: complex(a) for i, a in zip(idx, coeff)})
+    idx = product((0, 1), repeat=d)
+    return AlphaVector(coefficients={i: complex(a) for i, a in zip(idx, coeff.ravel())})
 
 
 def variance_matrix(spec: LatticeSpec) -> np.ndarray:

@@ -23,7 +23,7 @@ from .canonical import (
     solve_alpha,
 )
 from .espectrum import monte_carlo_spectrum, smoothed_density
-from .inversion import auto_grid, cdf_from_density, density_curve
+from .inversion import auto_grid, cdf_from_density, default_epsilon, density_curve
 from .lattice import LatticeSpec, SizeLimitError, expected_degree, node_count
 from .metrics import compare as compare_curves
 from .percolation import girko_conditions
@@ -165,24 +165,12 @@ def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
 
 def _grid_and_eps(cfg: RunConfig, problem):
     grid = auto_grid(problem, points=cfg.grid_points, margin=cfg.margin)
-    eps = cfg.epsilon if cfg.epsilon is not None else 2.0 * float(np.median(np.diff(grid)))
+    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
     return grid, eps
 
 
-def _deterministic_stieltjes_fn(problem):
-    # warm-start each grid point from the previous solution
-    state = {"alpha": None}
-
-    def fn(z):
-        sol = solve_alpha(problem, z, initial=state["alpha"])
-        state["alpha"] = sol.alpha_principal
-        return sol.alpha_principal
-
-    return fn
-
-
 def _deterministic_curves(cfg: RunConfig, problem, grid, eps):
-    dens = density_curve(_deterministic_stieltjes_fn(problem), grid, eps,
+    dens = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps,
                          label="deterministic")
     return cdf_from_density(dens)
 
@@ -236,7 +224,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         lo = min(ref.eigenvalues.min(), -scale) - 10 * eps
         hi = max(ref.eigenvalues.max(), scale) + 10 * eps
         grid = np.linspace(lo, hi, cfg.grid_points)
-        eps = cfg.epsilon if cfg.epsilon is not None else 2.0 * float(np.median(np.diff(grid)))
+        eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
         ref_curve = cdf_from_density(smoothed_density(ref, grid, eps))
         det = SpectralCurve(grid=grid, cdf=ref_curve.cdf, density=ref_curve.density,
                             epsilon=eps, label="scaled empirical")
@@ -265,9 +253,9 @@ def cmd_oracle(cfg: RunConfig, z_list: list[complex] | None) -> int:
         )
     problem = build_problem(spec)
     zs = z_list if z_list else oracle_z_grid()
+    alphas = solve_alpha(problem, np.array(zs)).alpha_principal
     worst = 0.0
-    for z in zs:
-        s_scalar = solve_alpha(problem, z).alpha_principal
+    for z, s_scalar in zip(zs, alphas):
         s_matrix = matrix_k1_oracle(spec, z, tol=1e-12)
         diff = abs(s_scalar - s_matrix)
         worst = max(worst, diff)

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .canonical import CanonicalProblem, SolverError
+from .canonical import CanonicalProblem
 
 # Tiny negative densities are rounding noise; anything worse means the
 # transform is off the Herglotz branch.
@@ -47,10 +46,6 @@ class SpectralCurve:
             if dens.min() < -_NEGATIVE_DENSITY_TOL:
                 raise ValueError("density must be nonnegative")
 
-    @property
-    def spacing(self) -> float:
-        return float(np.median(np.diff(self.grid)))
-
 
 def default_epsilon(grid: np.ndarray) -> float:
     """Resolution-matched smoothing width: twice the grid spacing."""
@@ -59,19 +54,14 @@ def default_epsilon(grid: np.ndarray) -> float:
 
 
 def density_curve(stieltjes, grid, epsilon: float, label: str = "") -> SpectralCurve:
-    """density(x) = (1/pi) Im S(x + i*epsilon) pointwise over the grid."""
+    """density(x) = (1/pi) Im S(x + i*epsilon) over the grid.
+
+    stieltjes is called once, on the whole array grid + i*epsilon.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     grid = np.asarray(grid, dtype=float)
-    dens = np.empty_like(grid)
-    for k, x in enumerate(grid):
-        try:
-            s = stieltjes(complex(x, epsilon))
-        except SolverError as exc:
-            raise SolverError(f"at x={x}: {exc}", exc.residual, exc.iterations) from exc
-        except Exception as exc:
-            raise RuntimeError(f"Stieltjes evaluation failed at x={x}: {exc}") from exc
-        dens[k] = s.imag / np.pi
+    dens = np.asarray(stieltjes(grid + 1j * epsilon)).imag / np.pi
     if dens.min() < -_NEGATIVE_DENSITY_TOL:
         raise ValueError(
             f"negative density {dens.min():.3e}: transform is off the Herglotz branch"
@@ -82,7 +72,9 @@ def density_curve(stieltjes, grid, epsilon: float, label: str = "") -> SpectralC
 
 def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
     """Trapezoid-integrate a density curve into a clipped CDF curve."""
-    cdf = cumulative_trapezoid(curve.density, curve.grid, initial=0.0)
+    x, y = curve.grid, curve.density
+    # the arithmetic of scipy.integrate.cumulative_trapezoid(y, x, initial=0)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
     cdf = np.clip(cdf, 0.0, 1.0)
     if cdf[-1] < MIN_RIGHT_EDGE_MASS:
         raise ValueError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from percolattice.canonical import (
+    SolverError,
     build_problem,
     matrix_k1_oracle,
     oracle_z_grid,
@@ -10,12 +11,91 @@ from percolattice.canonical import (
     solve_alpha,
     variance_matrix,
 )
+from percolattice.inversion import auto_grid, default_epsilon
 from percolattice.lattice import (
     LatticeSpec,
     SizeLimitError,
     expected_matrix,
     node_count,
 )
+
+
+def _g(problem, z, a):
+    """g(alpha) on the raw, unmerged branches."""
+    w = problem.branch_multiplicities / problem.node_count
+    return complex(np.sum(w / (problem.branch_values - z - problem.variance_sum * a)))
+
+
+def _reference_solve_alpha(problem, z, tol=1e-12, max_iter=100_000, initial=None):
+    """The per-point solver solve_alpha replaced, kept as a reference.
+
+    Damped fixed-point iteration with the damping halved whenever the
+    candidate would leave the Herglotz branch or fail to shrink the
+    residual; a safeguarded Newton step takes over when the fixed point
+    stalls. Returns alpha.
+    """
+    z = complex(z)
+    s = 1.0 if z.imag > 0 else -1.0
+    w = problem.branch_multiplicities / problem.node_count
+    b = problem.branch_values
+    sig2 = problem.variance_sum
+
+    def g(a):
+        return _g(problem, z, a)
+
+    alpha = complex(initial) if initial is not None else 1j * s
+    if s * alpha.imag <= 0:
+        alpha = 1j * s
+    r = alpha - g(alpha)
+    eta = 1.0
+    it = 0
+    while abs(r) > tol and it < max_iter:
+        it += 1
+        accepted = False
+        if eta >= 1e-4:
+            cand = alpha - eta * r
+            if s * cand.imag > 0:
+                rc = cand - g(cand)
+                if abs(rc) < 0.9 * abs(r):
+                    alpha, r = cand, rc
+                    eta = min(1.0, 2.0 * eta)
+                    accepted = True
+            if not accepted:
+                eta *= 0.5
+        if not accepted:
+            gp = sig2 * complex(np.sum(w / (b - z - sig2 * alpha) ** 2))
+            denom = 1.0 - gp
+            step = r / denom if denom != 0 else r
+            t = 1.0
+            while t > 1e-12:
+                cand = alpha - t * step
+                if s * cand.imag > 0:
+                    rc = cand - g(cand)
+                    if abs(rc) < abs(r):
+                        alpha, r = cand, rc
+                        accepted = True
+                        break
+                t *= 0.5
+            if not accepted:
+                restart = 1j * s
+                rr = restart - g(restart)
+                if abs(rr) < abs(r):
+                    alpha, r = restart, rr
+                    eta = 1.0
+                else:
+                    raise SolverError(f"reference stalled at z={z}", abs(r), it)
+    if abs(r) > tol:
+        raise SolverError(f"reference missed tol at z={z}", abs(r), it)
+    return alpha
+
+
+def _reference_curve(problem, zs):
+    """Reference solves along a grid, each warm-started from the previous."""
+    out, alpha = [], None
+    for z in zs:
+        alpha = _reference_solve_alpha(problem, z, initial=alpha)
+        out.append(alpha)
+    return np.array(out)
 
 
 class TestBuildProblem:
@@ -96,12 +176,66 @@ class TestSolveAlpha:
             assert z.imag * a.imag > 0
 
     def test_uniqueness_from_distinct_starts(self):
+        # the averaged map (a + g(a))/2 keeps the half-plane and converges
+        # from any start in it, to the one solution solve_alpha finds
         prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
         for z in (0.1 + 0.05j, -0.5 + 1j, 0.9 + 0.2j):
             s = 1.0 if z.imag > 0 else -1.0
+            expected = solve_alpha(prob, z).alpha_principal
             starts = [1j * s, 0.5 + 1j * s, -1 + 0.2j * s, 2j * s, -0.3 + 3j * s]
-            vals = [solve_alpha(prob, z, initial=a0).alpha_principal for a0 in starts]
-            assert max(abs(v - vals[0]) for v in vals) < 1e-10
+            for a in starts:
+                for _ in range(100_000):
+                    a = 0.5 * (a + _g(prob, z, a))
+                    if abs(a - _g(prob, z, a)) < 1e-13:
+                        break
+                assert abs(a - expected) < 1e-10
+
+    def test_scalar_and_array_contract(self):
+        prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
+        grid = auto_grid(prob, 5000, 0.1)  # more than one block
+        zs = grid + 1j * default_epsilon(grid)
+        sol = solve_alpha(prob, zs)
+        assert sol.alpha_principal.shape == zs.shape
+        assert isinstance(sol.residual, float) and sol.residual <= 1e-12
+        assert isinstance(sol.iterations, int) and sol.iterations >= 1
+        for k in (0, 1234, 2048, 4999):
+            one = solve_alpha(prob, zs[k])
+            assert isinstance(one.alpha_principal, complex)
+            assert abs(one.alpha_principal - sol.alpha_principal[k]) < 1e-13
+
+    @pytest.mark.parametrize("dims, probs", [
+        ((30, 50), (0.7, 0.5)),
+        ((10, 10, 20), (0.8, 0.7, 0.6)),
+    ])
+    def test_matches_reference_on_figure_grids(self, dims, probs):
+        prob = build_problem(LatticeSpec(dims, probs))
+        grid = auto_grid(prob, 2000, 0.1)
+        zs = grid + 1j * default_epsilon(grid)
+        got = solve_alpha(prob, zs).alpha_principal
+        assert np.abs(got - _reference_curve(prob, zs)).max() < 1e-10
+
+    def test_matches_reference_on_oracle_grid(self):
+        zs = np.array(oracle_z_grid())
+        for dims, probs in (((4, 5), (0.7, 0.5)), ((3, 3, 4), (0.8, 0.7, 0.6))):
+            prob = build_problem(LatticeSpec(dims, probs))
+            got = solve_alpha(prob, zs).alpha_principal
+            ref = [_reference_solve_alpha(prob, z) for z in zs]
+            assert np.abs(got - ref).max() < 1e-10
+
+    def test_cold_start_sweep(self):
+        # random specs, no warm start, down to Im z = 1e-8
+        rng = np.random.default_rng(2017)
+        for _ in range(80):
+            d = int(rng.integers(1, 6))
+            dims = tuple(int(m) for m in rng.integers(2, 80, size=d))
+            probs = tuple(float(p) for p in rng.uniform(0.01, 1.0, size=d))
+            prob = build_problem(LatticeSpec(dims, probs))
+            grid = auto_grid(prob, 500, 0.1)
+            for eps in (default_epsilon(grid), 1e-4, 1e-8):
+                zs = grid + 1j * eps
+                sol = solve_alpha(prob, zs)
+                assert sol.residual <= 1e-12
+                assert np.all(zs.imag * sol.alpha_principal.imag > 0)
 
     def test_conjugate_symmetry(self):
         prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))

@@ -57,7 +57,7 @@ class TestSolve:
         assert cols["F_det"][-1] >= 0.97
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def diverges(problem, z, initial=None):
+        def diverges(problem, z):
             raise SolverError("forced", 1.0, 1)
 
         monkeypatch.setattr(cli, "solve_alpha", diverges)
@@ -153,3 +153,13 @@ def test_thread_count_does_not_change_output(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, percolattice.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

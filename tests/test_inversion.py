@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from percolattice import canonical
 from percolattice.canonical import SolverError, build_problem, solve_alpha
 from percolattice.inversion import (
     SpectralCurve,
@@ -17,10 +18,9 @@ def point_mass(location):
 
 
 def semicircle_transform(z):
-    # branch with Im z * Im S > 0
+    # branch with Im z * Im S > 0, elementwise over an array of z
     root = np.sqrt(z**2 - 4 + 0j)
-    if (z.imag > 0) != (root.imag > 0):
-        root = -root
+    root = np.where((z.imag > 0) == (root.imag > 0), root, -root)
     return (-z + root) / 2
 
 
@@ -48,20 +48,17 @@ class TestDensityCurve:
         with pytest.raises(ValueError):
             density_curve(point_mass(0.0), np.array([0.0]), 0.0)
 
-    def test_names_failing_point(self):
-        def bad(z):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="x=0.25"):
-            density_curve(bad, np.array([0.25]), 0.01)
-
-        def diverges(z):
-            raise SolverError("forced", 1.0, 1)
-
-        # solver failures keep their type, so the CLI maps them to exit 3
-        with pytest.raises(SolverError, match="x=0.25: forced") as info:
-            density_curve(diverges, np.array([0.25]), 0.01)
-        assert (info.value.residual, info.value.iterations) == (1.0, 1)
+    def test_names_failing_point(self, monkeypatch):
+        # one Newton sweep per level cannot reach tol at 0.25 + 0.01i; the
+        # error keeps its type through density_curve (CLI exit 3)
+        monkeypatch.setattr(canonical, "_MAX_SWEEPS", 1)
+        prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
+        with pytest.raises(SolverError, match=r"z=\(0\.25\+0\.01j\)") as info:
+            density_curve(
+                lambda z: solve_alpha(prob, z).alpha_principal, np.array([0.25]), 0.01
+            )
+        assert info.value.residual > 1e-12
+        assert info.value.iterations >= 1
 
     def test_nonnegative_for_herglotz_input(self):
         grid = np.linspace(-3, 3, 400)
@@ -123,6 +120,22 @@ def test_empirical_machinery_symmetry():
     # compare away from the atom-like jumps: mid-gap via sup over a coarse probe
     assert np.abs(curve.cdf - step).mean() < 0.005
     assert np.abs(curve.cdf - step).max() < 0.05
+
+
+def test_cdf_matches_scipy_cumulative_trapezoid():
+    # same arithmetic as scipy, so CDF bytes do not move
+    from scipy.integrate import cumulative_trapezoid
+
+    from percolattice.inversion import cdf_from_density
+
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 17, 2000):
+        grid = np.cumsum(rng.uniform(0.01, 1.0, size=n))
+        dens = rng.uniform(0.0, 1.0, size=n)
+        dens /= cumulative_trapezoid(dens, grid)[-1]
+        curve = cdf_from_density(SpectralCurve(grid=grid, density=dens))
+        expected = np.clip(cumulative_trapezoid(dens, grid, initial=0.0), 0.0, 1.0)
+        assert curve.cdf.tobytes() == expected.tobytes()
 
 
 class TestAutoGrid:

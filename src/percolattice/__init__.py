@@ -13,7 +13,6 @@ from .canonical import (
 )
 from .espectrum import (
     EmpiricalSpectrum,
-    average_esd,
     eigenvalues,
     empirical_stieltjes,
     esd_cdf,

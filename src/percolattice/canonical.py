@@ -211,7 +211,8 @@ def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSo
     Returns alpha_principal with z's shape (a complex for scalar z), the
     worst |r| over the points and, as iterations, the largest number of
     vectorized sweeps any block needed. Raises SolverError naming the
-    worst point if any point misses tol.
+    worst point if any point misses tol, and ValueError if any z is real
+    or not finite.
     """
     scalar = np.ndim(z) == 0
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -219,6 +220,8 @@ def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSo
         raise ValueError("solve_alpha takes a scalar or a 1-D array of z")
     if np.any(zs.imag == 0):
         raise ValueError("solve_alpha requires Im z != 0")
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("solve_alpha requires finite z")
     atoms, weights = _atoms(problem)
     sig2 = problem.variance_sum
 

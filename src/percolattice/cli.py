@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -77,16 +78,17 @@ def _parse_probs(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad probs {text!r}: {exc}") from exc
 
 
-def _parse_epsilon(text: str):
-    if text == "auto":
+def _parse_epsilon(value):
+    """A --epsilon flag or config value: 'auto' (or null) or a positive finite width."""
+    if value is None or value == "auto":
         return None
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad epsilon {text!r}") from exc
-    if value <= 0:
-        raise ConfigError("epsilon must be positive")
-    return value
+        eps = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad epsilon {value!r}") from exc
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"epsilon must be positive and finite, got {value!r}")
+    return eps
 
 
 def _parse_z_list(text: str) -> list[complex]:
@@ -135,8 +137,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         values["dims"] = _parse_dims(values["dims"])
     if isinstance(values["probs"], str):
         values["probs"] = _parse_probs(values["probs"])
-    if isinstance(values.get("epsilon"), str):
-        values["epsilon"] = _parse_epsilon(values["epsilon"])
+    values["epsilon"] = _parse_epsilon(values.get("epsilon"))
     values["dims"] = tuple(int(v) for v in values["dims"])
     values["probs"] = tuple(float(v) for v in values["probs"])
     cfg = RunConfig(**values)

@@ -15,6 +15,14 @@ SYMMETRY_TOL = 1e-12
 # Dense eigensolves are refused above this size.
 EIGENSOLVE_LIMIT = 4000
 
+# Rows per strip of the symmetry check: the only workspace is one
+# strip-by-N buffer (1.5 MB at N=1500) instead of two N x N temporaries.
+_SYMMETRY_STRIP = 128
+
+# Float64 elements (1 MB) in the smoothing kernel's grid-rows-by-eigenvalues
+# buffer; a block holds at least one grid row of a full eigenvalue chunk.
+_SMOOTH_BUFFER = 131_072
+
 
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
@@ -37,8 +45,17 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     if n > EIGENSOLVE_LIMIT:
         raise SizeLimitError(f"dense eigensolve refused for N={n} > {EIGENSOLVE_LIMIT}")
-    if np.abs(matrix - matrix.T).max(initial=0.0) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within tolerance 1e-12")
+    buf = np.empty((min(n, _SYMMETRY_STRIP), n))
+    for lo in range(0, n, _SYMMETRY_STRIP):
+        d = buf[: min(_SYMMETRY_STRIP, n - lo)]
+        np.subtract(matrix[lo : lo + len(d)], matrix[:, lo : lo + len(d)].T, out=d)
+        worst = np.abs(d, out=d).max()
+        # `not <=` so that a NaN entry (NaN difference) is rejected too
+        if not worst <= SYMMETRY_TOL:
+            raise ValueError(
+                f"matrix is not symmetric within tolerance {SYMMETRY_TOL:g} "
+                f"(max |A - A^T| = {worst:.3g})"
+            )
     return np.linalg.eigvalsh(matrix)
 
 
@@ -80,22 +97,6 @@ def esd_cdf(spectrum: EmpiricalSpectrum, x):
     return counts / len(vals)
 
 
-def average_esd(spectra, grid: np.ndarray):
-    """Pointwise mean of the step CDFs over the grid.
-
-    Equals the CDF of the pooled spectrum, so pooling is how it is computed.
-    Returns a SpectralCurve carrying CDF values.
-    """
-    from .inversion import SpectralCurve
-
-    grid = np.asarray(grid, dtype=float)
-    pooled = pool(spectra)
-    return SpectralCurve(
-        grid=grid, cdf=np.asarray(esd_cdf(pooled, grid), dtype=float),
-        epsilon=0.0, label="empirical esd",
-    )
-
-
 def empirical_stieltjes(spectrum: EmpiricalSpectrum, z: complex) -> complex:
     """(1/count) sum_i 1/(lambda_i - z); defined off the real axis only."""
     z = complex(z)
@@ -105,19 +106,40 @@ def empirical_stieltjes(spectrum: EmpiricalSpectrum, z: complex) -> complex:
 
 
 def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: float):
-    """Cauchy-kernel smoothed density (1/pi) Im S(x + i*eps) on the grid."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """Cauchy-kernel smoothed density (1/pi) Im S(x + i*eps) on the grid.
+
+    The eigenvalues are summed in chunks of max(1, 10^7 // len(grid)); each
+    chunk's (eps/pi) / ((x - lambda)^2 + eps^2) terms are summed pairwise per
+    grid point and the chunk sums added in order. The kernel fills one
+    preallocated buffer of _SMOOTH_BUFFER elements per block of grid rows,
+    so the workspace stays about 1 MB (one grid row of a chunk, if larger)
+    whatever the grid and pool sizes, and the result does not depend on
+    the block size.
+    """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     from .inversion import SpectralCurve
 
     grid = np.asarray(grid, dtype=float)
     vals = spectrum.eigenvalues
     dens = np.zeros_like(grid)
-    # chunk the eigenvalue axis to bound the (grid x eigs) workspace
+    # the chunk length fixes the pairwise-summation tree of every grid point
     step = max(1, 10_000_000 // max(1, len(grid)))
-    for k in range(0, len(vals), step):
-        lam = vals[k : k + step]
-        dens += ((epsilon / np.pi) / ((grid[:, None] - lam[None, :]) ** 2 + epsilon**2)).sum(axis=1)
+    width = min(step, len(vals))
+    rows = max(1, _SMOOTH_BUFFER // max(1, width))
+    flat = np.empty(min(rows, len(grid)) * width)
+    scale, eps2 = epsilon / np.pi, epsilon**2
+    for r0 in range(0, len(grid), rows):
+        x = grid[r0 : r0 + rows, None]
+        for k in range(0, len(vals), step):
+            lam = vals[k : k + step]
+            # a contiguous view, so every row is summed as one contiguous run
+            buf = flat[: len(x) * len(lam)].reshape(len(x), len(lam))
+            np.subtract(x, lam[None, :], out=buf)
+            np.square(buf, out=buf)
+            np.add(buf, eps2, out=buf)
+            np.divide(scale, buf, out=buf)
+            dens[r0 : r0 + len(x)] += buf.sum(axis=1)
     dens /= len(vals)
     return SpectralCurve(grid=grid, density=dens, epsilon=float(epsilon),
                          label="empirical density")

@@ -133,6 +133,14 @@ class TestSolveAlpha:
         with pytest.raises(ValueError):
             solve_alpha(prob, 0.5)
 
+    @pytest.mark.parametrize("z", [complex(0.5, np.nan), complex(np.inf, 0.1),
+                                   np.array([0.1 + 0.1j, complex(0.2, np.inf)])])
+    def test_rejects_non_finite_z(self, z):
+        # Im z = NaN never reaches a continuation level: the solve used to spin
+        prob = build_problem(LatticeSpec((3, 4), (0.5, 0.5)))
+        with pytest.raises(ValueError, match="finite"):
+            solve_alpha(prob, z)
+
     def test_variance_zero_is_exact_transform(self):
         spec = LatticeSpec((4, 5), (1.0, 1.0))
         prob = build_problem(spec)

@@ -46,6 +46,27 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"dims": [3, 3], "probs": [1, 1], "bogus": 1}))
         assert main(["solve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_epsilon_flag_is_config_error(self, tmp_path, capsys, command, eps):
+        # NaN used to hang `solve` in the continuation loop and, like inf,
+        # made `simulate` write NaN densities with exit 0
+        out = tmp_path / "o.csv"
+        assert main([command, "--dims", "4,5", "--probs", "0.7,0.5", "--trials", "1",
+                     "--epsilon", eps, "--output", str(out)]) == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["-1", "0", "NaN", "Infinity"])
+    def test_bad_epsilon_in_config_is_config_error(self, tmp_path, capsys, eps):
+        # a numeric JSON value is checked like the flag (json reads NaN/Infinity)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"dims": [4, 5], "probs": [0.7, 0.5], "epsilon": {eps}}}')
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_variance_zero_steps_at_atoms(self, tmp_path):

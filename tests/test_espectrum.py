@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from percolattice.espectrum import (
     EmpiricalSpectrum,
-    average_esd,
     eigenvalues,
     empirical_stieltjes,
     esd_cdf,
@@ -41,6 +42,34 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_rejects_asymmetric_nan(self):
+        # NaN > tol is False, so a plain `> tol` check let this through and
+        # eigvalsh silently used the lower triangle
+        with pytest.raises(ValueError, match="symmetric within tolerance 1e-12"):
+            eigenvalues(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+
+    def test_rejects_asymmetry_in_last_strip(self):
+        # N not a multiple of the strip height; the only asymmetric pair
+        # sits in the last, short strip, just above the tolerance
+        a = np.zeros((300, 300))
+        a[299, 3] = 2e-12
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues(a)
+        a[3, 299] = 1.5e-12
+        assert np.array_equal(eigenvalues(a), np.linalg.eigvalsh(a))
+
+    def test_workspace_is_bounded(self):
+        # the whole-matrix check held two N x N temporaries (36 MB at N=1500)
+        a = np.random.default_rng(3).normal(size=(1500, 1500))
+        a += a.T
+        tracemalloc.start()
+        try:
+            eigenvalues(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_rejects_oversize(self):
         with pytest.raises(SizeLimitError, match="refused"):
             eigenvalues(np.zeros((4001, 4001)))
@@ -65,17 +94,18 @@ class TestEsdCdf:
 
 
 class TestAveraging:
+    """The pooled CDF is the pointwise mean of the per-spectrum CDFs."""
+
     def test_single_spectrum_identity(self):
         spec = EmpiricalSpectrum(np.array([-1.0, 0.5, 2.0]))
         grid = np.linspace(-2, 3, 50)
-        curve = average_esd([spec], grid)
-        assert np.array_equal(curve.cdf, esd_cdf(spec, grid))
+        assert np.array_equal(esd_cdf(pool([spec]), grid), esd_cdf(spec, grid))
 
     def test_two_identical_spectra(self):
         spec = EmpiricalSpectrum(np.array([-1.0, 0.5, 2.0]))
         grid = np.linspace(-2, 3, 50)
         assert np.array_equal(
-            average_esd([spec, spec], grid).cdf, average_esd([spec], grid).cdf
+            esd_cdf(pool([spec, spec]), grid), esd_cdf(pool([spec]), grid)
         )
 
     def test_pooling_equivalence(self):
@@ -85,7 +115,7 @@ class TestAveraging:
         ]
         grid = np.linspace(-4, 4, 200)
         mean_of_cdfs = np.mean([esd_cdf(s, grid) for s in spectra], axis=0)
-        assert np.allclose(average_esd(spectra, grid).cdf, mean_of_cdfs, atol=1e-15)
+        assert np.allclose(esd_cdf(pool(spectra), grid), mean_of_cdfs, atol=1e-15)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -117,7 +147,52 @@ class TestStieltjes:
         assert y * val.imag > 0
 
 
+def _reference_smoothed_density(vals, grid, epsilon):
+    """The whole-chunk kernel smoothed_density replaced: one (grid x chunk)
+    temporary per expression, the same chunks and the same arithmetic."""
+    dens = np.zeros_like(grid)
+    step = max(1, 10_000_000 // max(1, len(grid)))
+    for k in range(0, len(vals), step):
+        lam = vals[k : k + step]
+        dens += ((epsilon / np.pi) / ((grid[:, None] - lam[None, :]) ** 2 + epsilon**2)).sum(axis=1)
+    dens /= len(vals)
+    return dens
+
+
 class TestSmoothedDensity:
+    @pytest.mark.parametrize("n_eigs, n_grid", [
+        (75_000, 2000),  # Figure 1a: 50 trials x N=1500, 15 full chunks
+        (12_345, 2000),  # short last chunk (2345 of 5000)
+        (1000, 777),     # grid length not a multiple of the row block
+        (130_000, 40),   # one grid row per block, short last row block
+        (3210, 20_000),  # step = 500, short last chunk
+        (75_000, 1),     # one-point grid, one chunk
+    ])
+    def test_byte_identical_to_reference(self, n_eigs, n_grid):
+        rng = np.random.default_rng(n_eigs + n_grid)
+        vals = np.sort(rng.normal(size=n_eigs))
+        grid = np.linspace(-3.5, 3.5, n_grid)
+        eps = 0.007
+        curve = smoothed_density(EmpiricalSpectrum(vals), grid, eps)
+        assert np.array_equal(curve.density, _reference_smoothed_density(vals, grid, eps))
+
+    def test_workspace_is_bounded(self):
+        # the reference kernel peaks at 160 MB on this Figure 1a shape
+        vals = np.sort(np.random.default_rng(4).normal(size=75_000))
+        grid = np.linspace(-3.5, 3.5, 2000)
+        tracemalloc.start()
+        try:
+            smoothed_density(EmpiricalSpectrum(vals), grid, 0.007)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_bad_epsilon(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            smoothed_density(EmpiricalSpectrum(np.array([0.0])), np.array([0.0]), eps)
+
     def test_cauchy_peak(self):
         s = EmpiricalSpectrum(np.array([0.0]))
         eps = 0.05

@@ -1,7 +1,6 @@
 """Deterministic-equivalent spectral distributions of percolated lattice graphs."""
 
 from .canonical import (
-    AlphaVector,
     CanonicalProblem,
     CanonicalSolution,
     OracleError,
@@ -20,7 +19,7 @@ from .espectrum import (
     pool,
     smoothed_density,
 )
-from .inversion import SpectralCurve, auto_grid, cdf_curve, density_curve
+from .inversion import SpectralCurve, auto_grid, density_curve
 from .lattice import (
     ExpectedSpectrum,
     LatticeSpec,

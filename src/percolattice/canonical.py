@@ -27,6 +27,7 @@ from .lattice import (
     dimension_adjacency,
     expected_degree,
     expected_matrix,
+    expected_spectrum,
     node_count,
 )
 
@@ -55,7 +56,8 @@ class CanonicalProblem:
     variance_sum: float
     branch_values: np.ndarray      # b_j, product order over j in {0,1}^D
     branch_multiplicities: np.ndarray
-    branch_index: tuple            # the j tuples, same order
+    atoms: np.ndarray              # distinct b_j, ascending (expected_spectrum)
+    weights: np.ndarray            # their merged multiplicities / N
     node_count: int
 
 
@@ -67,27 +69,23 @@ class CanonicalSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class AlphaVector:
-    """All 2^D resolvent coefficients, keyed by the index tuple i."""
-
-    coefficients: dict
-
-
 def build_problem(spec: LatticeSpec) -> CanonicalProblem:
     gamma = expected_degree(spec)
     sigma2 = sum(
         p * (1 - p) * (m - 1) for p, m in zip(spec.probs, spec.dims)
     ) / gamma**2
-    values, mults, index = branch_table(spec)
+    values, mults = branch_table(spec)
+    merged = expected_spectrum(spec)
+    n = node_count(spec)
     return CanonicalProblem(
         spec=spec,
         gamma=gamma,
         variance_sum=float(sigma2),
         branch_values=values,
         branch_multiplicities=mults,
-        branch_index=tuple(index),
-        node_count=node_count(spec),
+        atoms=merged.values,
+        weights=merged.multiplicities / n,
+        node_count=n,
     )
 
 
@@ -102,41 +100,33 @@ _LEVEL_RATIO = 4.0
 # Residual that ends an intermediate continuation level.
 _LEVEL_TOL = 1e-6
 
-# Newton sweeps per level, and step halvings per sweep before a point
-# falls back to the averaged map.
+# Sweeps per level.
 _MAX_SWEEPS = 200
-_MAX_HALVINGS = 40
 
 
-def _atoms(problem: CanonicalProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct branch values and their weights m_j / N, equal values merged."""
-    values, where = np.unique(problem.branch_values, return_inverse=True)
-    weights = np.bincount(where, weights=problem.branch_multiplicities)
-    return values, weights / problem.node_count
-
-
-def _g(atoms, weights, sig2, z, alpha, derivative=False):
-    """g(alpha) = sum_k w_k / (b_k - z - sig2*alpha), and optionally g'(alpha)."""
+def _g(atoms, weights, sig2, z, alpha):
+    """g(alpha) = sum_k w_k / (b_k - z - sig2*alpha) and g'(alpha)."""
     shift = z + sig2 * alpha
     g = np.zeros_like(shift)
-    gp = np.zeros_like(shift) if derivative else None
+    gp = np.zeros_like(shift)
     for b, w in zip(atoms, weights):
         q = 1.0 / (b - shift)
         g += w * q
-        if derivative:
-            gp += w * q * q
-    return (g, sig2 * gp) if derivative else g
+        gp += w * q * q
+    return g, sig2 * gp
 
 
 def _solve_level(atoms, weights, sig2, z, alpha, tol):
-    """Newton sweeps at fixed z until |alpha - g(alpha)| <= tol at every point.
+    """Sweeps at fixed z until |alpha - g(alpha)| <= tol at every point.
 
-    A point whose Newton step leaves its half-plane or fails to shrink the
-    residual, at every one of _MAX_HALVINGS step lengths, takes one step of
-    the averaged map instead. Returns alpha, |residual| and the sweep count.
+    Each sweep, every unconverged point takes the full Newton step if it
+    stays on the point's half-plane and shrinks |r|, and one step of the
+    averaged map otherwise. g and g' are evaluated once at the new iterate
+    and reused by the next sweep. Returns alpha, |residual| and the sweep
+    count.
     """
     s = np.sign(z.imag)
-    g, gp = _g(atoms, weights, sig2, z, alpha, derivative=True)
+    g, gp = _g(atoms, weights, sig2, z, alpha)
     r = alpha - g
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
@@ -144,28 +134,18 @@ def _solve_level(atoms, weights, sig2, z, alpha, tol):
         if act.size == 0:
             break
         sweeps += 1
-        za, aa, ra, sa = z[act], alpha[act], r[act], s[act]
-        step = ra / (1.0 - gp[act])
-        left = np.arange(act.size)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = aa[left] - t * step[left]
-            inside = sa[left] * cand.imag > 0
-            rc = np.full(left.size, np.inf, dtype=complex)
-            rc[inside] = cand[inside] - _g(
-                atoms, weights, sig2, za[left][inside], cand[inside])
-            ok = np.abs(rc) < np.abs(ra[left])
-            aa[left[ok]] = cand[ok]
-            left = left[~ok]
-            if left.size == 0:
-                break
-            t *= 0.5
+        za, aa, ra = z[act], alpha[act], r[act]
+        new = aa - ra / (1.0 - gp[act])
+        ga, gpa = np.empty_like(new), np.empty_like(new)
+        ok = s[act] * new.imag > 0
+        ga[ok], gpa[ok] = _g(atoms, weights, sig2, za[ok], new[ok])
+        ok[ok] = np.abs(new[ok] - ga[ok]) < np.abs(ra[ok])
         # averaged map (alpha + g(alpha)) / 2 = alpha - r / 2: it maps the
         # half-plane into itself, so it converges from any start
-        aa[left] -= 0.5 * ra[left]
-        alpha[act] = aa
-        ga, gp[act] = _g(atoms, weights, sig2, za, aa, derivative=True)
-        r[act] = aa - ga
+        back = ~ok
+        new[back] = aa[back] - 0.5 * ra[back]
+        ga[back], gpa[back] = _g(atoms, weights, sig2, za[back], new[back])
+        alpha[act], r[act], gp[act] = new, new - ga, gpa
     return alpha, np.abs(r), sweeps
 
 
@@ -198,10 +178,10 @@ def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSo
     b_j merged). Each point starts at i*sign(Im z) with |Im z| = 2 and is
     continued down to its own |Im z|, dividing by 4 per level; the solution
     at one level starts the next. At each level every unconverged point
-    takes a Newton step alpha <- alpha - t*r/(1 - g'(alpha)) on the residual
-    r = alpha - g(alpha), with t halved per point until the iterate stays
-    on its half-plane (Im z * Im alpha > 0) and |r| shrinks. If no t does,
-    the point takes one step of the averaged map alpha <- (alpha + g(alpha))/2,
+    takes the Newton step alpha <- alpha - r/(1 - g'(alpha)) on the residual
+    r = alpha - g(alpha) if the iterate stays on its half-plane
+    (Im z * Im alpha > 0) and |r| shrinks. Otherwise the point takes one
+    step of the averaged map alpha <- (alpha + g(alpha))/2,
     which maps the half-plane strictly into itself and so, by the
     Earle-Hamilton theorem, converges from any start (Helton, Rashidi Far
     and Speicher, "Operator-valued semicircular elements: solving a
@@ -222,11 +202,11 @@ def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSo
         raise ValueError("solve_alpha requires Im z != 0")
     if not np.all(np.isfinite(zs)):
         raise ValueError("solve_alpha requires finite z")
-    atoms, weights = _atoms(problem)
+    atoms, weights = problem.atoms, problem.weights
     sig2 = problem.variance_sum
 
     if sig2 == 0.0:
-        alpha = _g(atoms, weights, 0.0, zs, np.zeros_like(zs))
+        alpha, _ = _g(atoms, weights, 0.0, zs, np.zeros_like(zs))
         residual = np.zeros(zs.shape)
         sweeps = 1
     else:
@@ -253,13 +233,14 @@ def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSo
     )
 
 
-def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -> AlphaVector:
+def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -> dict:
     """Solve the full 2^D linear system for every resolvent coefficient.
 
-    Takes the solution at one scalar z. The system matrix is the Kronecker product over dimensions of the 2x2
-    factors [[M_d - 1, 1], [-1, 1]] (rows j_d, columns i_d), each with
-    determinant M_d >= 2, so it is solved one axis at a time in O(D 2^D)
-    with the factor inverses [[1, -1], [1, M_d - 1]] / M_d.
+    Takes the solution at one scalar z and returns the 2^D coefficients
+    keyed by the index tuple i. The system matrix is the Kronecker product
+    over dimensions of the 2x2 factors [[M_d - 1, 1], [-1, 1]] (rows j_d,
+    columns i_d), each with determinant M_d >= 2, so it is solved one axis
+    at a time in O(D 2^D) with the factor inverses [[1, -1], [1, M_d - 1]] / M_d.
     """
     spec = problem.spec
     d = spec.ndim
@@ -278,7 +259,7 @@ def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -
             f"solver value {alpha}"
         )
     idx = product((0, 1), repeat=d)
-    return AlphaVector(coefficients={i: complex(a) for i, a in zip(idx, coeff.ravel())})
+    return {i: complex(a) for i, a in zip(idx, coeff.ravel())}
 
 
 def variance_matrix(spec: LatticeSpec) -> np.ndarray:

@@ -91,6 +91,15 @@ def _parse_epsilon(value):
     return eps
 
 
+def _parse_int(name: str, value) -> int:
+    """A config value that must be an integer; integral floats such as 1e2 pass."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _parse_z_list(text: str) -> list[complex]:
     out = []
     for token in text.split(","):
@@ -138,6 +147,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(values["probs"], str):
         values["probs"] = _parse_probs(values["probs"])
     values["epsilon"] = _parse_epsilon(values.get("epsilon"))
+    for name in ("trials", "seed", "grid_points"):
+        if name in values:
+            values[name] = _parse_int(name, values[name])
+    margin = values.get("margin", 0.0)
+    if isinstance(margin, bool) or not isinstance(margin, (int, float)):
+        raise ConfigError(f"margin must be a number, got {margin!r}")
+    if not isinstance(values.get("normalized", False), bool):
+        raise ConfigError(f"normalized must be true or false, got {values['normalized']!r}")
     values["dims"] = tuple(int(v) for v in values["dims"])
     values["probs"] = tuple(float(v) for v in values["probs"])
     cfg = RunConfig(**values)
@@ -170,7 +187,7 @@ def _grid_and_eps(cfg: RunConfig, problem):
     return grid, eps
 
 
-def _deterministic_curves(cfg: RunConfig, problem, grid, eps):
+def _deterministic_curves(problem, grid, eps):
     dens = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps,
                          label="deterministic")
     return cdf_from_density(dens)
@@ -183,14 +200,13 @@ def _empirical_curves(cfg: RunConfig, spec, grid, eps):
     pooled = monte_carlo_spectrum(
         spec, cfg.seed, cfg.trials, normalized=cfg.normalized, scale=scale
     )
-    curve = cdf_from_density(smoothed_density(pooled, grid, eps))
-    return pooled, curve.density, curve.cdf
+    return cdf_from_density(smoothed_density(pooled, grid, eps))
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     problem = build_problem(cfg.spec())
     grid, eps = _grid_and_eps(cfg, problem)
-    curve = _deterministic_curves(cfg, problem, grid, eps)
+    curve = _deterministic_curves(problem, grid, eps)
     _write_csv(cfg.output_path, {"x": grid, "f_det": curve.density, "F_det": curve.cdf})
     print(f"wrote deterministic curves to {cfg.output_path} (epsilon={eps:.6g})")
     return EXIT_OK
@@ -200,8 +216,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     spec = cfg.spec()
     problem = build_problem(spec)
     grid, eps = _grid_and_eps(cfg, problem)
-    _, dens, cdf = _empirical_curves(cfg, spec, grid, eps)
-    _write_csv(cfg.output_path, {"x": grid, "f_emp": dens, "F_emp": cdf})
+    curve = _empirical_curves(cfg, spec, grid, eps)
+    _write_csv(cfg.output_path, {"x": grid, "f_emp": curve.density, "F_emp": curve.cdf})
     print(
         f"wrote empirical curves ({cfg.trials} trials, seed {cfg.seed}) "
         f"to {cfg.output_path} (epsilon={eps:.6g})"
@@ -210,8 +226,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    from .inversion import SpectralCurve
-
     spec = cfg.spec()
     problem = build_problem(spec)
     grid, eps = _grid_and_eps(cfg, problem)
@@ -226,18 +240,14 @@ def cmd_compare(cfg: RunConfig) -> int:
         hi = max(ref.eigenvalues.max(), scale) + 10 * eps
         grid = np.linspace(lo, hi, cfg.grid_points)
         eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
-        ref_curve = cdf_from_density(smoothed_density(ref, grid, eps))
-        det = SpectralCurve(grid=grid, cdf=ref_curve.cdf, density=ref_curve.density,
-                            epsilon=eps, label="scaled empirical")
+        det = cdf_from_density(smoothed_density(ref, grid, eps))
     else:
-        det = _deterministic_curves(cfg, problem, grid, eps)
-    _, emp_dens, emp_cdf = _empirical_curves(cfg, spec, grid, eps)
-    emp = SpectralCurve(grid=grid, cdf=emp_cdf, density=emp_dens, epsilon=eps,
-                        label="empirical")
+        det = _deterministic_curves(problem, grid, eps)
+    emp = _empirical_curves(cfg, spec, grid, eps)
     report = compare_curves(det, emp)
     _write_csv(cfg.output_path, {
         "x": grid, "f_det": det.density, "F_det": det.cdf,
-        "f_emp": emp_dens, "F_emp": emp_cdf,
+        "f_emp": emp.density, "F_emp": emp.cdf,
     })
     print(
         f"kolmogorov={report.kolmogorov:.6g} levy={report.levy:.6g} "

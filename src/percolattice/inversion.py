@@ -58,8 +58,8 @@ def density_curve(stieltjes, grid, epsilon: float, label: str = "") -> SpectralC
 
     stieltjes is called once, on the whole array grid + i*epsilon.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     grid = np.asarray(grid, dtype=float)
     dens = np.asarray(stieltjes(grid + 1j * epsilon)).imag / np.pi
     if dens.min() < -_NEGATIVE_DENSITY_TOL:
@@ -83,11 +83,6 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
         )
     return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density,
                          epsilon=curve.epsilon, label=curve.label)
-
-
-def cdf_curve(stieltjes, grid, epsilon: float, label: str = "") -> SpectralCurve:
-    """CDF by trapezoid integration of the smoothed density from the left edge."""
-    return cdf_from_density(density_curve(stieltjes, grid, epsilon, label=label))
 
 
 def auto_grid(problem: CanonicalProblem, points: int = 2000, margin: float = 0.1) -> np.ndarray:

@@ -177,15 +177,15 @@ def expected_degree(spec: LatticeSpec) -> float:
     return float(sum(p * (m - 1) for p, m in zip(spec.probs, spec.dims)))
 
 
-def branch_table(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, list]:
+def branch_table(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Unmerged branch values b_j and multiplicities m_j over j in {0,1}^D.
 
     b_j = (1/gamma) sum_d p_d * (M_d - 1 if j_d = 0 else -1),
     m_j = prod_d (1 if j_d = 0 else M_d - 1).
-    Returned in itertools.product order along with the index tuples.
+    Returned in itertools.product order.
     """
     gamma = expected_degree(spec)
-    values, mults, index = [], [], []
+    values, mults = [], []
     for j in product((0, 1), repeat=spec.ndim):
         b = sum(
             p * ((m - 1) if jd == 0 else -1)
@@ -194,21 +194,20 @@ def branch_table(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, list]:
         mult = math.prod((1 if jd == 0 else m - 1) for m, jd in zip(spec.dims, j))
         values.append(b)
         mults.append(mult)
-        index.append(j)
-    return np.array(values), np.array(mults, dtype=np.int64), index
+    return np.array(values), np.array(mults, dtype=np.int64)
 
 
 def expected_spectrum(spec: LatticeSpec) -> ExpectedSpectrum:
-    """Exact spectrum of the expected scaled adjacency, duplicates merged."""
-    values, mults, _ = branch_table(spec)
-    merged: dict[float, int] = {}
-    for v, m in zip(values, mults):
-        merged[float(v)] = merged.get(float(v), 0) + int(m)
-    entries = tuple(sorted(merged.items()))
-    total = sum(m for _, m in entries)
+    """Exact spectrum of the expected scaled adjacency, equal branch values merged."""
+    values, mults = branch_table(spec)
+    atoms, where = np.unique(values, return_inverse=True)
+    # np.add.at keeps the int64 sums exact; np.bincount would sum in float64
+    merged = np.zeros(atoms.size, dtype=np.int64)
+    np.add.at(merged, where, mults)
+    total = int(merged.sum())
     if total != node_count(spec):
         raise RuntimeError(f"multiplicities sum to {total}, not N={node_count(spec)}")
-    return ExpectedSpectrum(entries)
+    return ExpectedSpectrum(tuple(zip(atoms.tolist(), merged.tolist())))
 
 
 def expected_matrix(spec: LatticeSpec) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from percolattice.canonical import (
     SolverError,
+    _solve_level,
     build_problem,
     matrix_k1_oracle,
     oracle_z_grid,
@@ -245,6 +246,24 @@ class TestSolveAlpha:
                 assert sol.residual <= 1e-12
                 assert np.all(zs.imag * sol.alpha_principal.imag > 0)
 
+    def test_level_converges_from_random_cold_starts(self):
+        # random starts anywhere in the upper half-plane at fixed z: where the
+        # Newton step is rejected the averaged map takes over, and it cannot
+        # stall
+        rng = np.random.default_rng(2007)
+        n = 1000
+        for dims, probs in (((4, 5), (0.7, 0.5)), ((3, 3, 4), (0.8, 0.7, 0.6)),
+                            ((30, 50), (0.7, 0.5)), ((500,), (0.5,)),
+                            ((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2))):
+            prob = build_problem(LatticeSpec(dims, probs))
+            x = rng.uniform(prob.atoms[0] - 0.5, prob.atoms[-1] + 0.5, n)
+            zs = x + 1j * 10 ** rng.uniform(-4, 0, n)
+            start = rng.uniform(-5, 5, n) + 1j * 10 ** rng.uniform(-6, 1, n)
+            alpha, residual, _ = _solve_level(
+                prob.atoms, prob.weights, prob.variance_sum, zs, start, 1e-12)
+            assert np.all(residual <= 1e-12), dims
+            assert np.abs(alpha - solve_alpha(prob, zs).alpha_principal).max() < 1e-10
+
     def test_conjugate_symmetry(self):
         prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
         rng = np.random.default_rng(4)
@@ -267,8 +286,8 @@ class TestRecoverAllAlphas:
         prob = build_problem(spec)
         sol = solve_alpha(prob, 0.1 + 1.0j)
         vec = recover_all_alphas(prob, sol)
-        assert set(vec.coefficients) == {(0,), (1,)}
-        assert abs(vec.coefficients[(1,)] - sol.alpha_principal) < 1e-10
+        assert set(vec) == {(0,), (1,)}
+        assert abs(vec[(1,)] - sol.alpha_principal) < 1e-10
 
     def test_variance_zero_reproduces_resolvent(self):
         spec = LatticeSpec((3, 3), (1.0, 1.0))
@@ -281,7 +300,7 @@ class TestRecoverAllAlphas:
         from itertools import product
 
         idx = list(product((0, 1), repeat=2))
-        c = sum(vec.coefficients[i] * t for i, t in zip(idx, basis))
+        c = sum(vec[i] * t for i, t in zip(idx, basis))
         n = node_count(spec)
         exact = np.linalg.inv(expected_matrix(spec) - z * np.eye(n))
         assert np.abs(c - exact).max() < 1e-10
@@ -296,7 +315,7 @@ class TestRecoverAllAlphas:
             z = complex(rng.uniform(-1, 1), rng.uniform(0.1, 1.5))
             sol = solve_alpha(prob, z)
             vec = recover_all_alphas(prob, sol)
-            assert abs(vec.coefficients[(1,) * d] - sol.alpha_principal) < 1e-10
+            assert abs(vec[(1,) * d] - sol.alpha_principal) < 1e-10
 
 
 class TestMatrixOracle:

@@ -67,6 +67,35 @@ class TestConfigHandling:
         assert "epsilon must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "trials", 2.5),
+        ("simulate", "trials", True),
+        ("simulate", "seed", "7"),
+        ("solve", "grid_points", "100"),
+        ("solve", "grid_points", 100.5),
+        ("solve", "margin", "wide"),
+        ("solve", "margin", False),
+        ("compare", "normalized", "no"),
+        ("compare", "normalized", 0),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, key, value):
+        # each used to end in a TypeError traceback, or ("normalized": "no")
+        # to run normalized mode with exit 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": [3, 4], "probs": [0.7, 0.5], key: value}))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_config_values_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dims": [3, 4], "probs": [0.7, 0.5], "trials": 1.0, '
+                       '"seed": 3e0, "grid_points": 1e2, "margin": 1}')
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+        assert len(read_csv(out)[1]["x"]) == 100
+
 
 class TestSolve:
     def test_variance_zero_steps_at_atoms(self, tmp_path):

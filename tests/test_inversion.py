@@ -6,7 +6,7 @@ from percolattice.canonical import SolverError, build_problem, solve_alpha
 from percolattice.inversion import (
     SpectralCurve,
     auto_grid,
-    cdf_curve,
+    cdf_from_density,
     default_epsilon,
     density_curve,
 )
@@ -48,6 +48,15 @@ class TestDensityCurve:
         with pytest.raises(ValueError):
             density_curve(point_mass(0.0), np.array([0.0]), 0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        # named as epsilon, not as the non-finite z it would hand the solver
+        prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            density_curve(
+                lambda z: solve_alpha(prob, z).alpha_principal, np.array([0.25]), eps
+            )
+
     def test_names_failing_point(self, monkeypatch):
         # one Newton sweep per level cannot reach tol at 0.25 + 0.01i; the
         # error keeps its type through density_curve (CLI exit 3)
@@ -69,13 +78,14 @@ class TestDensityCurve:
 class TestCdfCurve:
     def test_point_mass_arctan_bounds(self):
         grid = np.linspace(-5, 5, 4001)
-        curve = cdf_curve(point_mass(0.0), grid, 0.01)
+        curve = cdf_from_density(density_curve(point_mass(0.0), grid, 0.01))
         assert curve.cdf[np.searchsorted(grid, -1.0)] <= 0.01
         assert curve.cdf[np.searchsorted(grid, 1.0)] >= 0.99
 
     def test_semicircle_median(self):
         grid = np.linspace(-3, 3, 2001)
-        curve = cdf_curve(semicircle_transform, grid, 2 * default_epsilon(grid) / 2)
+        curve = cdf_from_density(
+            density_curve(semicircle_transform, grid, 2 * default_epsilon(grid) / 2))
         assert abs(curve.cdf[np.searchsorted(grid, 0.0)] - 0.5) < 0.01
 
     def test_atomic_steps_at_midgaps(self):
@@ -83,9 +93,9 @@ class TestCdfCurve:
         prob = build_problem(spec)
         grid = auto_grid(prob, 2000, 0.1)
         eps = default_epsilon(grid)
-        curve = cdf_curve(
+        curve = cdf_from_density(density_curve(
             lambda z: solve_alpha(prob, z).alpha_principal, grid, eps
-        )
+        ))
         es = expected_spectrum(spec)
         atoms = es.values
         cum = np.cumsum(es.multiplicities) / node_count(spec)
@@ -95,20 +105,20 @@ class TestCdfCurve:
 
     def test_monotone_and_right_edge(self):
         grid = np.linspace(-3, 3, 1500)
-        curve = cdf_curve(semicircle_transform, grid, default_epsilon(grid))
+        curve = cdf_from_density(
+            density_curve(semicircle_transform, grid, default_epsilon(grid)))
         assert np.all(np.diff(curve.cdf) >= -1e-12)
         assert 0.97 <= curve.cdf[-1] <= 1.0
 
     def test_rejects_insufficient_right_edge_mass(self):
         grid = np.linspace(-5, -2, 500)  # support of semicircle not covered
         with pytest.raises(ValueError, match="widen"):
-            cdf_curve(semicircle_transform, grid, 0.01)
+            cdf_from_density(density_curve(semicircle_transform, grid, 0.01))
 
 
 def test_empirical_machinery_symmetry():
     # integrating the smoothed empirical transform reproduces the step CDF
     from percolattice.espectrum import esd_cdf, monte_carlo_spectrum, smoothed_density
-    from percolattice.inversion import cdf_from_density
 
     spec = LatticeSpec((4, 5), (0.7, 0.5))
     prob = build_problem(spec)
@@ -125,8 +135,6 @@ def test_empirical_machinery_symmetry():
 def test_cdf_matches_scipy_cumulative_trapezoid():
     # same arithmetic as scipy, so CDF bytes do not move
     from scipy.integrate import cumulative_trapezoid
-
-    from percolattice.inversion import cdf_from_density
 
     rng = np.random.default_rng(12)
     for n in (2, 3, 17, 2000):

@@ -28,11 +28,11 @@ a = lattice_adjacency(spec)
 print("supergraph row sums (all equal sum of M_d - 1):", set(a.sum(axis=1)))
 
 # closed-form branch spectrum vs a dense eigensolve of E[W]
-es = expected_spectrum(spec)
+values, mults = expected_spectrum(spec)
 print("branch eigenvalues (value, multiplicity):")
-for value, mult in es.entries:
+for value, mult in zip(values, mults):
     print(f"  {value:+.6f}  x{mult}")
 
 dense = np.linalg.eigvalsh(expected_matrix(spec))
-closed = np.sort(np.repeat(es.values, es.multiplicities))
+closed = np.sort(np.repeat(values, mults))
 print("max |closed form - eigensolve| =", np.abs(dense - closed).max())

@@ -21,7 +21,7 @@ print(f"grid [{grid[0]:.3f}, {grid[-1]:.3f}], epsilon = {eps:.4g}")
 
 # deterministic curve: the scalar canonical equation, solved on the whole grid
 det = cdf_from_density(density_curve(lambda z: solve_alpha(problem, z).alpha_principal,
-                                     grid, eps, label="deterministic"))
+                                     grid, eps))
 
 # empirical curve: pooled spectrum of 50 percolations
 pooled = monte_carlo_spectrum(spec, seed=42, trials=50)

@@ -21,10 +21,8 @@ from .espectrum import (
 )
 from .inversion import SpectralCurve, auto_grid, density_curve
 from .lattice import (
-    ExpectedSpectrum,
     LatticeSpec,
     SizeLimitError,
-    are_adjacent,
     decode_index,
     encode_index,
     expected_degree,
@@ -38,10 +36,7 @@ from .percolation import (
     GirkoConditionReport,
     PercolationSample,
     girko_conditions,
-    row_normalized_adjacency,
     sample,
-    scaled_adjacency,
-    write_edges,
 )
 
 __version__ = "0.1.0"

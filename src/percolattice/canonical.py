@@ -49,16 +49,12 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class CanonicalProblem:
-    """Precomputed scalars of the 2^D rational system."""
+    """The scalar equation's data: sigma^2 and the merged branch atoms."""
 
     spec: LatticeSpec
-    gamma: float
     variance_sum: float
-    branch_values: np.ndarray      # b_j, product order over j in {0,1}^D
-    branch_multiplicities: np.ndarray
     atoms: np.ndarray              # distinct b_j, ascending (expected_spectrum)
     weights: np.ndarray            # their merged multiplicities / N
-    node_count: int
 
 
 @dataclass(frozen=True)
@@ -74,18 +70,12 @@ def build_problem(spec: LatticeSpec) -> CanonicalProblem:
     sigma2 = sum(
         p * (1 - p) * (m - 1) for p, m in zip(spec.probs, spec.dims)
     ) / gamma**2
-    values, mults = branch_table(spec)
-    merged = expected_spectrum(spec)
-    n = node_count(spec)
+    atoms, mults = expected_spectrum(spec)
     return CanonicalProblem(
         spec=spec,
-        gamma=gamma,
         variance_sum=float(sigma2),
-        branch_values=values,
-        branch_multiplicities=mults,
-        atoms=merged.values,
-        weights=merged.multiplicities / n,
-        node_count=n,
+        atoms=atoms,
+        weights=mults / node_count(spec),
     )
 
 
@@ -245,9 +235,8 @@ def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -
     spec = problem.spec
     d = spec.ndim
     alpha = solution.alpha_principal
-    rhs = 1.0 / (
-        problem.branch_values - solution.z - problem.variance_sum * alpha
-    )
+    values, _ = branch_table(spec)
+    rhs = 1.0 / (values - solution.z - problem.variance_sum * alpha)
     coeff = rhs.reshape((2,) * d)
     for axis, m in enumerate(spec.dims):
         inverse = np.array([[1.0, -1.0], [1.0, m - 1.0]]) / m

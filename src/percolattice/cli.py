@@ -10,7 +10,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -40,46 +41,59 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    dims: tuple[int, ...]
-    probs: tuple[float, ...]
-    trials: int = 50
-    seed: int = 0
-    grid_points: int = 2000
-    margin: float = 0.1
-    epsilon: float | None = None  # None means 2x grid spacing
-    normalized: bool = False
-    output_path: str = "curves.csv"
-
-    def spec(self) -> LatticeSpec:
-        try:
-            return LatticeSpec(dims=self.dims, probs=self.probs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+def _is_int(value) -> bool:
+    """An int or an integral float such as 1e2, but not a bool."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(message)
+def _is_number(value) -> bool:
+    """A float, or an int that a float can hold; not a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _split(name: str, text: str, convert) -> tuple:
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(convert(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad dims {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {name} {text!r}: {exc}") from exc
 
 
-def _parse_probs(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad probs {text!r}: {exc}") from exc
+def _parse_dims(value) -> tuple[int, ...]:
+    """A comma-separated string such as "30,50", or a JSON list of integers."""
+    if isinstance(value, str):
+        return _split("dims", value, int)
+    if isinstance(value, list) and all(_is_int(v) for v in value):
+        return tuple(int(v) for v in value)
+    raise ConfigError(f"dims must be a list of integers, got {value!r}")
+
+
+def _parse_probs(value) -> tuple[float, ...]:
+    """A comma-separated string such as "0.7,0.5", or a JSON list of numbers."""
+    if isinstance(value, str):
+        return _split("probs", value, float)
+    if isinstance(value, list) and all(_is_number(v) for v in value):
+        return tuple(float(v) for v in value)
+    raise ConfigError(f"probs must be a list of numbers, got {value!r}")
+
+
+def _parse_int(name: str, value) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_margin(value) -> float:
+    if not (_is_number(value) and math.isfinite(value) and value >= 0):
+        raise ConfigError(f"margin must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _parse_epsilon(value):
-    """A --epsilon flag or config value: 'auto' (or null) or a positive finite width."""
+    """'auto' (or null) or a positive finite width."""
     if value is None or value == "auto":
         return None
     try:
@@ -91,13 +105,46 @@ def _parse_epsilon(value):
     return eps
 
 
-def _parse_int(name: str, value) -> int:
-    """A config value that must be an integer; integral floats such as 1e2 pass."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _parse_normalized(value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"normalized must be true or false, got {value!r}")
+    return value
+
+
+def _parse_output_path(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"output_path must be a string, got {value!r}")
+    return value
+
+
+def _parsed(default=MISSING, *, parse):
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass
+class RunConfig:
+    """One run's settings; each field's parser checks a flag or a JSON value."""
+
+    dims: tuple[int, ...] = _parsed(parse=_parse_dims)
+    probs: tuple[float, ...] = _parsed(parse=_parse_probs)
+    trials: int = _parsed(50, parse=partial(_parse_int, "trials"))
+    seed: int = _parsed(0, parse=partial(_parse_int, "seed"))
+    grid_points: int = _parsed(2000, parse=partial(_parse_int, "grid_points"))
+    margin: float = _parsed(0.1, parse=_parse_margin)
+    epsilon: float | None = _parsed(None, parse=_parse_epsilon)  # None: 2x grid spacing
+    normalized: bool = _parsed(False, parse=_parse_normalized)
+    output_path: str = _parsed("curves.csv", parse=_parse_output_path)
+
+    def spec(self) -> LatticeSpec:
+        try:
+            return LatticeSpec(dims=self.dims, probs=self.probs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _parse_z_list(text: str) -> list[complex]:
@@ -129,37 +176,24 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                values.update(json.load(fh))
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object, "
+                              f"got {type(values).__name__}")
         unknown = set(values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name in ("dims", "probs", "trials", "seed", "grid_points", "margin",
-                 "epsilon", "normalized", "output_path"):
-        flag = getattr(args, name, None)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
+            values[f.name] = flag
+        if f.name in values:
+            values[f.name] = f.metadata["parse"](values[f.name])
     if "dims" not in values or "probs" not in values:
         raise ConfigError("dims and probs are required (flags or config file)")
-    if isinstance(values["dims"], str):
-        values["dims"] = _parse_dims(values["dims"])
-    if isinstance(values["probs"], str):
-        values["probs"] = _parse_probs(values["probs"])
-    values["epsilon"] = _parse_epsilon(values.get("epsilon"))
-    for name in ("trials", "seed", "grid_points"):
-        if name in values:
-            values[name] = _parse_int(name, values[name])
-    margin = values.get("margin", 0.0)
-    if isinstance(margin, bool) or not isinstance(margin, (int, float)):
-        raise ConfigError(f"margin must be a number, got {margin!r}")
-    if not isinstance(values.get("normalized", False), bool):
-        raise ConfigError(f"normalized must be true or false, got {values['normalized']!r}")
-    values["dims"] = tuple(int(v) for v in values["dims"])
-    values["probs"] = tuple(float(v) for v in values["probs"])
     cfg = RunConfig(**values)
-    if len(cfg.dims) != len(cfg.probs):
-        raise ConfigError("dims and probs must have the same length")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     if cfg.grid_points < 16:
@@ -175,10 +209,13 @@ def _fmt(v: float) -> str:
 def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(names) + "\n")
+            for row in zip(*arrays):
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _grid_and_eps(cfg: RunConfig, problem):
@@ -188,8 +225,7 @@ def _grid_and_eps(cfg: RunConfig, problem):
 
 
 def _deterministic_curves(problem, grid, eps):
-    dens = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps,
-                         label="deterministic")
+    dens = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps)
     return cdf_from_density(dens)
 
 

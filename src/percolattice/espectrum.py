@@ -29,7 +29,6 @@ class EmpiricalSpectrum:
     """Sorted real eigenvalues, possibly pooled over Monte Carlo samples."""
 
     eigenvalues: np.ndarray
-    source_count: int = 1
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -77,15 +76,14 @@ def row_normalized_eigenvalues(sample: PercolationSample) -> np.ndarray:
 
 
 def pool(spectra) -> EmpiricalSpectrum:
-    """Pool eigenvalues of several same-size spectra into one."""
+    """Pool the eigenvalue arrays of several same-size matrices into one spectrum."""
     spectra = list(spectra)
     if not spectra:
         raise ValueError("cannot pool an empty collection of spectra")
-    sizes = {len(s.eigenvalues) // s.source_count for s in spectra}
+    sizes = {len(vals) for vals in spectra}
     if len(sizes) > 1:
         raise ValueError(f"spectra come from different matrix sizes: {sizes}")
-    vals = np.sort(np.concatenate([s.eigenvalues for s in spectra]))
-    return EmpiricalSpectrum(vals, source_count=sum(s.source_count for s in spectra))
+    return EmpiricalSpectrum(np.sort(np.concatenate(spectra)))
 
 
 def esd_cdf(spectrum: EmpiricalSpectrum, x):
@@ -141,8 +139,7 @@ def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: flo
             np.divide(scale, buf, out=buf)
             dens[r0 : r0 + len(x)] += buf.sum(axis=1)
     dens /= len(vals)
-    return SpectralCurve(grid=grid, density=dens, epsilon=float(epsilon),
-                         label="empirical density")
+    return SpectralCurve(grid=grid, density=dens)
 
 
 def trial_seed(seed: int, trial: int) -> int:
@@ -172,5 +169,5 @@ def monte_carlo_spectrum(spec, seed: int, trials: int, normalized: bool = False,
             vals = row_normalized_eigenvalues(s)
         else:
             vals = eigenvalues(adjacency(s)) / expected_degree(spec)
-        spectra.append(EmpiricalSpectrum(np.sort(vals * scale), source_count=1))
+        spectra.append(vals * scale)
     return pool(spectra)

@@ -23,8 +23,6 @@ class SpectralCurve:
     grid: np.ndarray
     cdf: np.ndarray | None = None
     density: np.ndarray | None = None
-    epsilon: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -53,7 +51,7 @@ def default_epsilon(grid: np.ndarray) -> float:
     return 2.0 * float(np.median(np.diff(grid)))
 
 
-def density_curve(stieltjes, grid, epsilon: float, label: str = "") -> SpectralCurve:
+def density_curve(stieltjes, grid, epsilon: float) -> SpectralCurve:
     """density(x) = (1/pi) Im S(x + i*epsilon) over the grid.
 
     stieltjes is called once, on the whole array grid + i*epsilon.
@@ -67,7 +65,7 @@ def density_curve(stieltjes, grid, epsilon: float, label: str = "") -> SpectralC
             f"negative density {dens.min():.3e}: transform is off the Herglotz branch"
         )
     np.clip(dens, 0.0, None, out=dens)
-    return SpectralCurve(grid=grid, density=dens, epsilon=float(epsilon), label=label)
+    return SpectralCurve(grid=grid, density=dens)
 
 
 def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
@@ -81,8 +79,7 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
             f"CDF reaches only {cdf[-1]:.4f} at the right grid edge; widen the "
             f"grid or decrease epsilon"
         )
-    return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density,
-                         epsilon=curve.epsilon, label=curve.label)
+    return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density)
 
 
 def auto_grid(problem: CanonicalProblem, points: int = 2000, margin: float = 0.1) -> np.ndarray:
@@ -90,6 +87,6 @@ def auto_grid(problem: CanonicalProblem, points: int = 2000, margin: float = 0.1
     if points < 16:
         raise ValueError("grid needs at least 16 points")
     w = margin + 4.0 * np.sqrt(problem.variance_sum)
-    lo = problem.branch_values.min() - w
-    hi = problem.branch_values.max() + w
+    lo = problem.atoms.min() - w
+    hi = problem.atoms.max() + w
     return np.linspace(lo, hi, points)

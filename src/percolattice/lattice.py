@@ -59,21 +59,6 @@ class LatticeSpec:
         return len(self.dims)
 
 
-@dataclass(frozen=True)
-class ExpectedSpectrum:
-    """Eigenvalues of the expected scaled adjacency, with multiplicities."""
-
-    entries: tuple[tuple[float, int], ...]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.entries])
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.entries], dtype=np.int64)
-
-
 def node_count(spec: LatticeSpec) -> int:
     """Total number of lattice nodes, prod of the dimension sizes."""
     return math.prod(spec.dims)
@@ -105,13 +90,6 @@ def encode_index(spec: LatticeSpec, digits) -> int:
         x += d * stride
         stride *= m
     return x + 1
-
-
-def are_adjacent(spec: LatticeSpec, i: int, j: int) -> bool:
-    """True iff nodes i, j differ in exactly one mixed-radix digit."""
-    bi = decode_index(spec, i)
-    bj = decode_index(spec, j)
-    return sum(a != b for a, b in zip(bi, bj)) == 1
 
 
 def _complete_graph(m: int) -> np.ndarray:
@@ -197,8 +175,11 @@ def branch_table(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values), np.array(mults, dtype=np.int64)
 
 
-def expected_spectrum(spec: LatticeSpec) -> ExpectedSpectrum:
-    """Exact spectrum of the expected scaled adjacency, equal branch values merged."""
+def expected_spectrum(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Exact spectrum of the expected scaled adjacency, equal branch values merged.
+
+    Returns the distinct eigenvalues, ascending, and their int64 multiplicities.
+    """
     values, mults = branch_table(spec)
     atoms, where = np.unique(values, return_inverse=True)
     # np.add.at keeps the int64 sums exact; np.bincount would sum in float64
@@ -207,7 +188,7 @@ def expected_spectrum(spec: LatticeSpec) -> ExpectedSpectrum:
     total = int(merged.sum())
     if total != node_count(spec):
         raise RuntimeError(f"multiplicities sum to {total}, not N={node_count(spec)}")
-    return ExpectedSpectrum(tuple(zip(atoms.tolist(), merged.tolist())))
+    return atoms, merged
 
 
 def expected_matrix(spec: LatticeSpec) -> np.ndarray:

@@ -27,12 +27,7 @@ class PercolationSample:
     """One sampled percolated graph: retained edges of the supergraph."""
 
     spec: LatticeSpec
-    seed: int
     edges: np.ndarray  # (E, 2) int64, i < j, 1-based, lexicographically sorted
-
-    @property
-    def edge_count(self) -> int:
-        return self.edges.shape[0]
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ def sample(spec: LatticeSpec, seed: int) -> PercolationSample:
     u = rng.random(edges.shape[0])
     p = np.array(spec.probs)[edges[:, 2]]
     kept = edges[u < p, :2]
-    return PercolationSample(spec=spec, seed=int(seed), edges=kept)
+    return PercolationSample(spec=spec, edges=kept)
 
 
 def adjacency(sample: PercolationSample) -> np.ndarray:
@@ -66,20 +61,6 @@ def adjacency(sample: PercolationSample) -> np.ndarray:
     a[i, j] = 1.0
     a[j, i] = 1.0
     return a
-
-
-def scaled_adjacency(sample: PercolationSample) -> np.ndarray:
-    """W = A / gamma; entries in {0, 1/gamma}."""
-    return adjacency(sample) / expected_degree(sample.spec)
-
-
-def row_normalized_adjacency(sample: PercolationSample) -> np.ndarray:
-    """Delta^{-1} A with zero rows for isolated nodes (pseudo-inverse convention)."""
-    a = adjacency(sample)
-    deg = a.sum(axis=1)
-    inv = np.zeros_like(deg)
-    np.divide(1.0, deg, out=inv, where=deg > 0)
-    return inv[:, None] * a
 
 
 def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:
@@ -103,10 +84,3 @@ def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:
         max_entry_bound=1.0 / gamma,
         min_scaled_variance=float(min_scaled_variance),
     )
-
-
-def write_edges(sample: PercolationSample, path) -> None:
-    """Export edges as plain text, one "i j" per line, i < j, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in sample.edges:
-            fh.write(f"{i} {j}\n")

@@ -78,7 +78,7 @@ def lobe_distances(problem, det, emp):
     """Kolmogorov distance on the main density lobe and on the minor lobes."""
     grid = det.grid
     mask = det.density > 1e-3 * det.density.max()
-    bulk = problem.branch_values[np.argmax(problem.branch_multiplicities)]
+    bulk = problem.atoms[np.argmax(problem.weights)]
     k0 = int(np.argmin(np.abs(grid - bulk)))
     lo = k0
     while lo > 0 and mask[lo - 1]:
@@ -143,9 +143,8 @@ def test_criterion_6_variance_zero_exactness():
         prob = build_problem(spec)
         grid = auto_grid(prob, 2000, 0.1)
         det = deterministic_cdf(prob, grid, default_epsilon(grid))
-        es = expected_spectrum(spec)
-        atoms = es.values
-        cum = np.cumsum(es.multiplicities) / node_count(spec)
+        atoms, mults = expected_spectrum(spec)
+        cum = np.cumsum(mults) / node_count(spec)
         mids = np.concatenate([
             [atoms[0] - 0.05], (atoms[:-1] + atoms[1:]) / 2, [atoms[-1] + 0.05]
         ])

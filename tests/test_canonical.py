@@ -16,6 +16,8 @@ from percolattice.inversion import auto_grid, default_epsilon
 from percolattice.lattice import (
     LatticeSpec,
     SizeLimitError,
+    branch_table,
+    expected_degree,
     expected_matrix,
     node_count,
 )
@@ -23,8 +25,9 @@ from percolattice.lattice import (
 
 def _g(problem, z, a):
     """g(alpha) on the raw, unmerged branches."""
-    w = problem.branch_multiplicities / problem.node_count
-    return complex(np.sum(w / (problem.branch_values - z - problem.variance_sum * a)))
+    b, mults = branch_table(problem.spec)
+    w = mults / node_count(problem.spec)
+    return complex(np.sum(w / (b - z - problem.variance_sum * a)))
 
 
 def _reference_solve_alpha(problem, z, tol=1e-12, max_iter=100_000, initial=None):
@@ -37,8 +40,8 @@ def _reference_solve_alpha(problem, z, tol=1e-12, max_iter=100_000, initial=None
     """
     z = complex(z)
     s = 1.0 if z.imag > 0 else -1.0
-    w = problem.branch_multiplicities / problem.node_count
-    b = problem.branch_values
+    b, mults = branch_table(problem.spec)
+    w = mults / node_count(problem.spec)
     sig2 = problem.variance_sum
 
     def g(a):
@@ -102,30 +105,34 @@ def _reference_curve(problem, zs):
 class TestBuildProblem:
     def test_figure_1a_scalars(self):
         prob = build_problem(LatticeSpec((30, 50), (0.7, 0.5)))
-        assert prob.gamma == pytest.approx(44.8)
         assert prob.variance_sum == pytest.approx(0.0091378, abs=1e-6)
-        got = sorted(zip(prob.branch_values, prob.branch_multiplicities))
         expected = sorted(
             [(-1.2 / 44.8, 1421), (19.8 / 44.8, 49), (0.53125, 29), (1.0, 1)]
         )
-        for (bv, bm), (ev, em) in zip(got, expected):
+        assert len(prob.atoms) == len(expected)
+        for bv, bw, (ev, em) in zip(prob.atoms, prob.weights, expected):
             assert bv == pytest.approx(ev, abs=1e-12)
-            assert bm == em
+            assert bw == em / 1500
 
     def test_variance_zero_when_probabilities_one(self):
         assert build_problem(LatticeSpec((5, 6), (1.0, 1.0))).variance_sum == 0.0
 
     def test_one_dimensional_example(self):
         prob = build_problem(LatticeSpec((2,), (0.5,)))
-        assert prob.gamma == 0.5
+        assert expected_degree(prob.spec) == 0.5
         assert prob.variance_sum == pytest.approx(1.0)
-        assert sorted(prob.branch_values) == [-1.0, 1.0]
-        assert list(prob.branch_multiplicities) == [1, 1]
+        assert prob.atoms.tolist() == [-1.0, 1.0]
+        assert prob.weights.tolist() == [0.5, 0.5]
 
     def test_branches_not_merged(self):
-        # parameter coincidence: both dims give identical branch values
-        prob = build_problem(LatticeSpec((3, 3), (0.5, 0.5)))
-        assert len(prob.branch_values) == 4
+        # parameter coincidence: both dims give identical branch values;
+        # branch_table keeps all four (recover_all_alphas needs them), the
+        # problem's atoms merge the equal pair
+        spec = LatticeSpec((3, 3), (0.5, 0.5))
+        assert len(branch_table(spec)[0]) == 4
+        prob = build_problem(spec)
+        assert prob.atoms.tolist() == [-0.5, 0.25, 1.0]
+        assert prob.weights.tolist() == [4 / 9, 4 / 9, 1 / 9]
 
 
 class TestSolveAlpha:
@@ -147,9 +154,8 @@ class TestSolveAlpha:
         prob = build_problem(spec)
         z = 0.3 + 0.4j
         sol = solve_alpha(prob, z)
-        exact = np.sum(
-            prob.branch_multiplicities / (prob.branch_values - z)
-        ) / prob.node_count
+        b, mults = branch_table(spec)
+        exact = np.sum(mults / (b - z)) / node_count(spec)
         assert sol.residual == 0.0
         assert abs(sol.alpha_principal - exact) < 1e-15
 

@@ -75,18 +75,59 @@ class TestConfigHandling:
         ("solve", "grid_points", 100.5),
         ("solve", "margin", "wide"),
         ("solve", "margin", False),
+        ("solve", "margin", -5),
+        pytest.param("solve", "margin", 10**400, id="solve-margin-1e400"),
         ("compare", "normalized", "no"),
         ("compare", "normalized", 0),
+        ("solve", "dims", 5),
+        pytest.param("solve", "dims", [2.5, 3], id="solve-dims-float-entry"),
+        pytest.param("solve", "dims", ["3", "4"], id="solve-dims-string-entries"),
+        ("solve", "probs", 0.5),
+        pytest.param("solve", "probs", [True, 0.5], id="solve-probs-bool-entry"),
+        pytest.param("solve", "probs", ["0.7", 0.5], id="solve-probs-string-entry"),
+        ("solve", "output_path", 7),
+        ("solve", "output_path", 1),
+        ("solve", "output_path", None),
     ])
-    def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, key, value):
-        # each used to end in a TypeError traceback, or ("normalized": "no")
-        # to run normalized mode with exit 0
+    def test_bad_config_value_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                              command, key, value):
+        # each used to end in a traceback, or to run with a silently changed
+        # value: normalized "no" as true, dims [2.5, 3] as (2, 3), probs
+        # [true, 0.5] with p = 1, output_path 1 as a CSV written to stdout
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dims": [3, 4], "probs": [0.7, 0.5], key: value}))
+        # --output would override the config's output_path
+        output = [] if key == "output_path" else ["--output", "o.csv"]
+        assert main([command, "--config", str(cfg)] + output) == 1
+        captured = capsys.readouterr()
+        assert f"config error: {key} must be" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_config_must_be_json_object(self, tmp_path, capsys):
+        # a top-level array used to end in a TypeError traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["dims", [3, 4]], ["probs", [0.7, 0.5]]]))
         out = tmp_path / "o.csv"
-        assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
-        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert main(["solve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "must hold a JSON object, got list" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-5"])
+    def test_bad_margin_flag_is_config_error(self, tmp_path, capsys, margin):
+        # each used to be blamed on epsilon; inf also raised a numpy warning
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--dims", "4,5", "--probs", "0.7,0.5",
+                     "--margin", margin, "--output", str(out)]) == 1
+        assert "config error: margin must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        # a directory used to end in an IsADirectoryError traceback
+        assert main(["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
+                     "--output", str(tmp_path)]) == 1
+        assert f"config error: cannot write {tmp_path}:" in capsys.readouterr().err
 
     def test_integral_float_config_values_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"

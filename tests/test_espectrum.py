@@ -17,10 +17,11 @@ from percolattice.espectrum import (
 from percolattice.lattice import (
     LatticeSpec,
     SizeLimitError,
+    expected_degree,
     expected_matrix,
     expected_spectrum,
 )
-from percolattice.percolation import sample, scaled_adjacency
+from percolattice.percolation import adjacency, sample
 
 
 class TestEigenvalues:
@@ -29,13 +30,12 @@ class TestEigenvalues:
 
     def test_four_cycle_scaled(self):
         spec = LatticeSpec((2, 2), (1.0, 1.0))
-        w = scaled_adjacency(sample(spec, 0))
+        w = adjacency(sample(spec, 0)) / expected_degree(spec)
         assert np.allclose(eigenvalues(w), [-1, 0, 0, 1], atol=1e-12)
 
     def test_expected_matrix_cross_check(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
-        es = expected_spectrum(spec)
-        flat = np.sort(np.repeat(es.values, es.multiplicities))
+        flat = np.sort(np.repeat(*expected_spectrum(spec)))
         assert np.abs(eigenvalues(expected_matrix(spec)) - flat).max() < 1e-10
 
     def test_rejects_asymmetric(self):
@@ -97,29 +97,38 @@ class TestAveraging:
     """The pooled CDF is the pointwise mean of the per-spectrum CDFs."""
 
     def test_single_spectrum_identity(self):
-        spec = EmpiricalSpectrum(np.array([-1.0, 0.5, 2.0]))
-        grid = np.linspace(-2, 3, 50)
-        assert np.array_equal(esd_cdf(pool([spec]), grid), esd_cdf(spec, grid))
-
-    def test_two_identical_spectra(self):
-        spec = EmpiricalSpectrum(np.array([-1.0, 0.5, 2.0]))
+        vals = np.array([-1.0, 0.5, 2.0])
         grid = np.linspace(-2, 3, 50)
         assert np.array_equal(
-            esd_cdf(pool([spec, spec]), grid), esd_cdf(pool([spec]), grid)
+            esd_cdf(pool([vals]), grid), esd_cdf(EmpiricalSpectrum(vals), grid)
+        )
+
+    def test_two_identical_spectra(self):
+        vals = np.array([-1.0, 0.5, 2.0])
+        grid = np.linspace(-2, 3, 50)
+        assert np.array_equal(
+            esd_cdf(pool([vals, vals]), grid), esd_cdf(pool([vals]), grid)
         )
 
     def test_pooling_equivalence(self):
+        # per-trial arrays need not be sorted; the pool is
         rng = np.random.default_rng(1)
-        spectra = [
-            EmpiricalSpectrum(np.sort(rng.normal(size=8))) for _ in range(10)
-        ]
+        spectra = [rng.normal(size=8) for _ in range(10)]
         grid = np.linspace(-4, 4, 200)
-        mean_of_cdfs = np.mean([esd_cdf(s, grid) for s in spectra], axis=0)
-        assert np.allclose(esd_cdf(pool(spectra), grid), mean_of_cdfs, atol=1e-15)
+        mean_of_cdfs = np.mean(
+            [esd_cdf(EmpiricalSpectrum(np.sort(v)), grid) for v in spectra], axis=0
+        )
+        pooled = pool(spectra)
+        assert np.all(np.diff(pooled.eigenvalues) >= 0)
+        assert np.allclose(esd_cdf(pooled, grid), mean_of_cdfs, atol=1e-15)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             pool([])
+
+    def test_rejects_mixed_sizes(self):
+        with pytest.raises(ValueError, match="different matrix sizes"):
+            pool([np.zeros(3), np.zeros(4)])
 
 
 class TestStieltjes:
@@ -221,11 +230,9 @@ class TestSmoothedDensity:
 class TestSpectralRanges:
     def test_scaled_adjacency_range(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
-        from percolattice.lattice import expected_degree
-
         for seed in range(5):
             s = sample(spec, seed)
-            w = scaled_adjacency(s)
+            w = adjacency(s) / expected_degree(spec)
             maxdeg = (w * expected_degree(spec)).sum(axis=1).max()
             vals = eigenvalues(w)
             bound = maxdeg / expected_degree(spec) + 1e-12

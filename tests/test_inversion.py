@@ -10,7 +10,7 @@ from percolattice.inversion import (
     default_epsilon,
     density_curve,
 )
-from percolattice.lattice import LatticeSpec, expected_spectrum, node_count
+from percolattice.lattice import LatticeSpec, branch_table, expected_spectrum, node_count
 
 
 def point_mass(location):
@@ -37,7 +37,7 @@ class TestDensityCurve:
 
     def test_far_field_decay(self):
         prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
-        x = np.abs(prob.branch_values).max() + 10.0
+        x = np.abs(prob.atoms).max() + 10.0
         eps = 0.01
         curve = density_curve(
             lambda z: solve_alpha(prob, z).alpha_principal, np.array([x]), eps
@@ -96,9 +96,8 @@ class TestCdfCurve:
         curve = cdf_from_density(density_curve(
             lambda z: solve_alpha(prob, z).alpha_principal, grid, eps
         ))
-        es = expected_spectrum(spec)
-        atoms = es.values
-        cum = np.cumsum(es.multiplicities) / node_count(spec)
+        atoms, mults = expected_spectrum(spec)
+        cum = np.cumsum(mults) / node_count(spec)
         mids = (atoms[:-1] + atoms[1:]) / 2
         got = np.interp(mids, grid, curve.cdf)
         assert np.abs(got - cum[:-1]).max() < 0.02
@@ -150,8 +149,9 @@ class TestAutoGrid:
     def test_variance_zero_span(self):
         prob = build_problem(LatticeSpec((4, 5), (1.0, 1.0)))
         grid = auto_grid(prob, 100, margin=0.1)
-        assert grid[0] == pytest.approx(prob.branch_values.min() - 0.1)
-        assert grid[-1] == pytest.approx(prob.branch_values.max() + 0.1)
+        b, _ = branch_table(prob.spec)
+        assert grid[0] == pytest.approx(b.min() - 0.1)
+        assert grid[-1] == pytest.approx(b.max() + 0.1)
 
     def test_figure_1a_span(self):
         prob = build_problem(LatticeSpec((30, 50), (0.7, 0.5)))

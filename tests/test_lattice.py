@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from percolattice.lattice import (
     LatticeSpec,
     SizeLimitError,
-    are_adjacent,
     decode_index,
     dimension_adjacency,
     encode_index,
@@ -17,6 +16,11 @@ from percolattice.lattice import (
     node_count,
     supergraph_edges,
 )
+
+
+def _adjacent(spec, i, j):
+    """True iff nodes i, j differ in exactly one mixed-radix digit."""
+    return sum(a != b for a, b in zip(decode_index(spec, i), decode_index(spec, j))) == 1
 
 
 def _reference_supergraph_edges(spec):
@@ -125,14 +129,17 @@ class TestAdjacency:
     spec = LatticeSpec((3, 4), (0.5, 0.5))
 
     def test_self_not_adjacent(self):
-        assert not are_adjacent(self.spec, 1, 1)
+        assert not _adjacent(self.spec, 1, 1)
+        assert lattice_adjacency(self.spec)[0, 0] == 0
 
     def test_one_digit_difference(self):
-        assert are_adjacent(self.spec, 1, 2)
+        assert _adjacent(self.spec, 1, 2)
+        assert lattice_adjacency(self.spec)[0, 1] == 1
 
     def test_two_digit_difference(self):
         # beta(1) = (0,0), beta(5) = (1,1)
-        assert not are_adjacent(self.spec, 1, 5)
+        assert not _adjacent(self.spec, 1, 5)
+        assert lattice_adjacency(self.spec)[0, 4] == 0
 
     def test_k2(self):
         a = lattice_adjacency(LatticeSpec((2,), (1.0,)))
@@ -153,7 +160,7 @@ class TestAdjacency:
             a = lattice_adjacency(spec)
             n = node_count(spec)
             brute = np.array(
-                [[are_adjacent(spec, i, j) for j in range(1, n + 1)]
+                [[_adjacent(spec, i, j) for j in range(1, n + 1)]
                  for i in range(1, n + 1)],
                 dtype=float,
             )
@@ -171,7 +178,7 @@ class TestAdjacency:
             assert np.all(e[:, 0] < e[:, 1])
             keys = list(map(tuple, e[:, :2]))
             assert keys == sorted(keys)
-            assert all(are_adjacent(spec, int(i), int(j)) for i, j in keys)
+            assert all(_adjacent(spec, int(i), int(j)) for i, j in keys)
 
     @pytest.mark.parametrize("dims", REFERENCE_EDGE_DIMS, ids=str)
     def test_supergraph_edges_match_reference(self, dims):
@@ -199,8 +206,8 @@ class TestExpectedDegree:
 
 class TestExpectedSpectrum:
     def test_figure_1a_branches(self):
-        es = expected_spectrum(LatticeSpec((30, 50), (0.7, 0.5)))
-        got = dict(es.entries)
+        values, mults = expected_spectrum(LatticeSpec((30, 50), (0.7, 0.5)))
+        got = dict(zip(values.tolist(), mults.tolist()))
         expected = {
             1.0: 1,
             0.53125: 29,
@@ -213,14 +220,15 @@ class TestExpectedSpectrum:
             assert match and got[match[0]] == m
 
     def test_k2(self):
-        es = expected_spectrum(LatticeSpec((2,), (1.0,)))
-        assert es.entries == ((-1.0, 1), (1.0, 1))
+        values, mults = expected_spectrum(LatticeSpec((2,), (1.0,)))
+        assert values.tolist() == [-1.0, 1.0]
+        assert mults.dtype == np.int64 and mults.tolist() == [1, 1]
 
     @settings(max_examples=25, deadline=None)
     @given(small_specs())
     def test_multiplicities_partition_nodes(self, spec):
-        es = expected_spectrum(spec)
-        assert int(es.multiplicities.sum()) == node_count(spec)
+        _, mults = expected_spectrum(spec)
+        assert int(mults.sum()) == node_count(spec)
 
     @pytest.mark.parametrize("dims,probs", [
         ((4, 5), (0.7, 0.5)),
@@ -229,7 +237,6 @@ class TestExpectedSpectrum:
     ])
     def test_matches_dense_eigensolve(self, dims, probs):
         spec = LatticeSpec(dims, probs)
-        es = expected_spectrum(spec)
-        flat = np.sort(np.repeat(es.values, es.multiplicities))
+        flat = np.sort(np.repeat(*expected_spectrum(spec)))
         dense = np.sort(np.linalg.eigvalsh(expected_matrix(spec)))
         assert np.abs(flat - dense).max() < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from percolattice.espectrum import trial_seed
+from percolattice.espectrum import row_normalized_eigenvalues, trial_seed
 from percolattice.lattice import (
     LatticeSpec,
     dimension_adjacency,
@@ -9,13 +9,21 @@ from percolattice.lattice import (
     expected_matrix,
     supergraph_edges,
 )
-from percolattice.percolation import (
-    girko_conditions,
-    row_normalized_adjacency,
-    sample,
-    scaled_adjacency,
-    write_edges,
-)
+from percolattice.percolation import adjacency, girko_conditions, sample
+
+
+def scaled_adjacency(s):
+    """W = A / gamma; entries in {0, 1/gamma}."""
+    return adjacency(s) / expected_degree(s.spec)
+
+
+def row_normalized_adjacency(s):
+    """Delta^{-1} A with zero rows for isolated nodes (pseudo-inverse convention)."""
+    a = adjacency(s)
+    deg = a.sum(axis=1)
+    inv = np.zeros_like(deg)
+    np.divide(1.0, deg, out=inv, where=deg > 0)
+    return inv[:, None] * a
 
 
 class TestSampling:
@@ -26,7 +34,7 @@ class TestSampling:
 
     def test_vanishing_probability_keeps_nothing(self):
         spec = LatticeSpec((3, 4), (1e-12, 1e-12))
-        assert sample(spec, 5).edge_count == 0
+        assert len(sample(spec, 5).edges) == 0
 
     def test_determinism(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
@@ -45,7 +53,7 @@ class TestSampling:
     def test_mean_edge_count(self):
         # binomial mean over dims: 1500*29/2*0.7 + 1500*49/2*0.5 = 33600
         spec = LatticeSpec((30, 50), (0.7, 0.5))
-        counts = [sample(spec, trial_seed(123, t)).edge_count for t in range(200)]
+        counts = [len(sample(spec, trial_seed(123, t)).edges) for t in range(200)]
         var = 1500 * 29 / 2 * 0.7 * 0.3 + 1500 * 49 / 2 * 0.5 * 0.5
         se = np.sqrt(var / 200)
         assert abs(np.mean(counts) - 33600) <= 3 * se
@@ -102,6 +110,16 @@ class TestMatrices:
                 return
         pytest.fail("no isolated node produced at p=0.05; widen the seed scan")
 
+    @pytest.mark.parametrize("probs, seed", [((0.4, 0.4), 3), ((0.05, 0.05), 0)])
+    def test_row_normalized_eigenvalues_match_dense(self, probs, seed):
+        # the symmetric similarity D^{-1/2} A D^{-1/2} has the spectrum of
+        # Delta^{-1} A; the two samples have 5 and 12 isolated nodes (zero rows)
+        s = sample(LatticeSpec((4, 5), probs), seed)
+        dense = np.linalg.eigvals(row_normalized_adjacency(s))
+        assert np.abs(dense.imag).max() < 1e-10
+        got = row_normalized_eigenvalues(s)
+        assert np.abs(np.sort(dense.real) - got).max() < 1e-10
+
     def test_mean_scaled_adjacency_converges_to_expectation(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
         b = expected_matrix(spec)
@@ -144,14 +162,3 @@ class TestGirkoConditions:
             r = girko_conditions(LatticeSpec(dims, probs))
             assert r.mean_row_sum == 1.0
 
-
-def test_edge_export_format(tmp_path):
-    spec = LatticeSpec((3, 3), (0.8, 0.8))
-    s = sample(spec, 4)
-    path = tmp_path / "edges.txt"
-    write_edges(s, path)
-    lines = path.read_text().splitlines()
-    pairs = [tuple(map(int, ln.split())) for ln in lines]
-    assert pairs == sorted(pairs)
-    assert all(i < j for i, j in pairs)
-    assert np.array_equal(np.array(pairs), s.edges)

@@ -202,18 +202,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
+    # Python floats and one row format: the bytes of f"{v:.17g}" per value
+    rows = zip(*(np.asarray(columns[n]).tolist() for n in names))
+    line = ",".join(["{:.17g}"] * len(names)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(names) + "\n")
-            for row in zip(*arrays):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line.format(*row) for row in rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -75,9 +75,11 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
     cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
     cdf = np.clip(cdf, 0.0, 1.0)
     if cdf[-1] < MIN_RIGHT_EDGE_MASS:
+        # mass leaks past the grid ends when epsilon is wide, and falls
+        # between grid points when epsilon is far below the spacing
         raise ValueError(
             f"CDF reaches only {cdf[-1]:.4f} at the right grid edge; widen the "
-            f"grid or decrease epsilon"
+            f"grid, or choose epsilon near the grid spacing {np.median(np.diff(x)):.3g}"
         )
     return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density)
 

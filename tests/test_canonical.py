@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from percolattice import canonical
 from percolattice.canonical import (
     SolverError,
     _solve_level,
@@ -100,6 +101,43 @@ def _reference_curve(problem, zs):
         alpha = _reference_solve_alpha(problem, z, initial=alpha)
         out.append(alpha)
     return np.array(out)
+
+
+def _ladder4_solve(problem, zs, tol=1e-12):
+    """The 4x continuation ladder solve_alpha used before, as one block.
+
+    The module's _solve_level does every sweep, so its _g calls can be
+    counted. Returns alpha and the sweep count.
+    """
+    atoms, weights, sig2 = problem.atoms, problem.weights, problem.variance_sum
+    y = np.abs(zs.imag)
+    alpha = 1j * np.sign(zs.imag)
+    residual = np.empty(zs.shape)
+    sweeps, im = 0, 2.0
+    todo = np.ones(zs.shape, dtype=bool)
+    while todo.any():
+        idx = np.flatnonzero(todo)
+        final = y[idx] >= im
+        zk = np.where(final, zs[idx], zs.real[idx] + 1j * np.sign(zs.imag[idx]) * im)
+        alpha[idx], residual[idx], n = canonical._solve_level(
+            atoms, weights, sig2, zk, alpha[idx], np.where(final, tol, 1e-6))
+        sweeps += n
+        todo[idx[final]] = False
+        im /= 4.0
+    assert np.all(residual <= tol)
+    return alpha, sweeps
+
+
+def _g_unbuffered(atoms, weights, sig2, z, alpha):
+    """The _g loop before its buffers, one temporary per operation."""
+    shift = z + sig2 * alpha
+    g = np.zeros_like(shift)
+    gp = np.zeros_like(shift)
+    for b, w in zip(atoms, weights):
+        q = 1.0 / (b - shift)
+        g += w * q
+        gp += w * q * q
+    return g, sig2 * gp
 
 
 class TestBuildProblem:
@@ -284,6 +322,56 @@ class TestSolveAlpha:
         for z in (1e3j, 700 + 700j):
             a = solve_alpha(prob, z).alpha_principal
             assert abs(a * (-z) - 1) < 1e-3
+
+
+class TestSolverWork:
+    def test_no_more_work_than_the_4x_ladder(self, monkeypatch):
+        # every grid fits in one _BLOCK, so the one-block copy sees the same
+        # blocks; g point-evaluations and sweeps are compared call by call
+        evaluations = [0]
+        g = canonical._g
+
+        def counted(atoms, weights, sig2, z, alpha):
+            evaluations[0] += z.size
+            return g(atoms, weights, sig2, z, alpha)
+
+        monkeypatch.setattr(canonical, "_g", counted)
+        cases = []
+        for dims, probs in (((30, 50), (0.7, 0.5)), ((10, 10, 20), (0.8, 0.7, 0.6)),
+                            ((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2))):
+            prob = build_problem(LatticeSpec(dims, probs))
+            grid = auto_grid(prob, 2000, 0.1)
+            cases.append((prob, grid + 1j * default_epsilon(grid)))
+        rng = np.random.default_rng(2017)  # the specs of test_cold_start_sweep
+        for _ in range(80):
+            d = int(rng.integers(1, 6))
+            dims = tuple(int(m) for m in rng.integers(2, 80, size=d))
+            probs = tuple(float(p) for p in rng.uniform(0.01, 1.0, size=d))
+            prob = build_problem(LatticeSpec(dims, probs))
+            grid = auto_grid(prob, 500, 0.1)
+            cases += [(prob, grid + 1j * eps) for eps in (default_epsilon(grid), 1e-4, 1e-8)]
+        for prob, zs in cases:
+            assert zs.size <= canonical._BLOCK
+            evaluations[0] = 0
+            ref, ref_sweeps = _ladder4_solve(prob, zs)
+            ref_evaluations = evaluations[0]
+            evaluations[0] = 0
+            sol = solve_alpha(prob, zs)
+            assert np.abs(sol.alpha_principal - ref).max() < 1e-10
+            assert evaluations[0] <= ref_evaluations
+            assert sol.iterations <= ref_sweeps
+
+    @pytest.mark.parametrize("n_atoms", [1, 4, 32])
+    def test_buffered_g_is_bitwise_equal(self, n_atoms):
+        rng = np.random.default_rng(n_atoms)
+        n = 2048
+        atoms = np.sort(rng.uniform(-1.0, 1.0, n_atoms))
+        weights = rng.dirichlet(np.ones(n_atoms))
+        z = rng.uniform(-2, 2, n) + 1j * rng.choice([-1, 1], n) * 10 ** rng.uniform(-8, 0, n)
+        alpha = rng.uniform(-5, 5, n) + 1j * rng.uniform(-5, 5, n)
+        got = canonical._g(atoms, weights, 0.3, z, alpha)
+        ref = _g_unbuffered(atoms, weights, 0.3, z, alpha)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 class TestRecoverAllAlphas:

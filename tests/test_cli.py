@@ -138,6 +138,33 @@ class TestConfigHandling:
         assert len(read_csv(out)[1]["x"]) == 100
 
 
+class TestCsvWriter:
+    SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, 42.0]
+
+    @staticmethod
+    def _per_value(path, columns):
+        """The per-value loop _write_csv replaced, kept as a reference."""
+        names = list(columns)
+        arrays = [np.asarray(columns[n]) for n in names]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(names) + "\n")
+            for row in zip(*arrays):
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+    @pytest.mark.parametrize("ncols", [1, 3, 5])
+    def test_bytes_match_per_value_format(self, tmp_path, ncols):
+        rng = np.random.default_rng(ncols)
+        values = np.array(self.SPECIAL + (-np.array(self.SPECIAL)).tolist())
+        columns = {
+            f"c{k}": np.concatenate([np.roll(values, k), rng.normal(size=50) * 10.0**k])
+            for k in range(ncols)
+        }
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        cli._write_csv(str(got), columns)
+        self._per_value(str(ref), columns)
+        assert got.read_bytes() == ref.read_bytes()
+
+
 class TestSolve:
     def test_variance_zero_steps_at_atoms(self, tmp_path):
         out = tmp_path / "det.csv"
@@ -182,6 +209,20 @@ class TestSimulate:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestRightEdgeMass:
+    @pytest.mark.parametrize("eps", ["1e-6", "10"])
+    def test_epsilon_far_from_spacing_is_config_error(self, tmp_path, capsys, eps):
+        # 1e-6 leaves the smoothed mass between grid points and 10 spreads it
+        # past the grid ends, so the advice names the spacing, not a direction
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--dims", "3,4", "--probs", "0.5,0.5", "--trials", "2",
+                     "--grid-points", "100", "--margin", "0", "--epsilon", eps,
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "widen the grid, or choose epsilon near the grid spacing 0.0503" in err
+        assert not out.exists()
 
 
 class TestCompare:

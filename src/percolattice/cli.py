@@ -16,7 +16,6 @@ from functools import partial
 import numpy as np
 
 from .canonical import (
-    ORACLE_NODE_LIMIT,
     OracleError,
     SolverError,
     build_problem,
@@ -26,7 +25,8 @@ from .canonical import (
 )
 from .espectrum import monte_carlo_spectrum, smoothed_density
 from .inversion import auto_grid, cdf_from_density, default_epsilon, density_curve
-from .lattice import LatticeSpec, SizeLimitError, expected_degree, node_count
+from .lattice import ORACLE_NODE_LIMIT, LatticeSpec, SizeLimitError, check_size
+from .lattice import expected_degree, node_count
 from .metrics import compare as compare_curves
 from .percolation import girko_conditions
 
@@ -221,9 +221,17 @@ def _grid_and_eps(cfg: RunConfig, problem):
     return grid, eps
 
 
+def _cdf(label: str, density):
+    """cdf_from_density, naming the failing curve in a too-little-mass error."""
+    try:
+        return cdf_from_density(density)
+    except ValueError as exc:
+        raise ConfigError(f"{label} curve: {exc}") from exc
+
+
 def _deterministic_curves(problem, grid, eps):
     dens = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps)
-    return cdf_from_density(dens)
+    return _cdf("deterministic", dens)
 
 
 def _empirical_curves(cfg: RunConfig, spec, grid, eps):
@@ -233,7 +241,7 @@ def _empirical_curves(cfg: RunConfig, spec, grid, eps):
     pooled = monte_carlo_spectrum(
         spec, cfg.seed, cfg.trials, normalized=cfg.normalized, scale=scale
     )
-    return cdf_from_density(smoothed_density(pooled, grid, eps))
+    return _cdf("empirical", smoothed_density(pooled, grid, eps))
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -273,7 +281,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         hi = max(ref.eigenvalues.max(), scale) + 10 * eps
         grid = np.linspace(lo, hi, cfg.grid_points)
         eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
-        det = cdf_from_density(smoothed_density(ref, grid, eps))
+        det = _cdf("reference (scaled adjacency)", smoothed_density(ref, grid, eps))
     else:
         det = _deterministic_curves(problem, grid, eps)
     emp = _empirical_curves(cfg, spec, grid, eps)
@@ -291,10 +299,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig, z_list: list[complex] | None) -> int:
     spec = cfg.spec()
-    if node_count(spec) > ORACLE_NODE_LIMIT:
-        raise SizeLimitError(
-            f"oracle requires N <= {ORACLE_NODE_LIMIT}, got {node_count(spec)}"
-        )
+    check_size("oracle", node_count(spec), ORACLE_NODE_LIMIT)  # before the 2^D branches
     problem = build_problem(spec)
     zs = z_list if z_list else oracle_z_grid()
     alphas = solve_alpha(problem, np.array(zs)).alpha_principal

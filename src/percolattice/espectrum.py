@@ -6,14 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SizeLimitError, expected_degree, node_count
+from .inversion import SpectralCurve
+from .lattice import EIGENSOLVE_LIMIT, check_size, expected_degree, node_count
 from .percolation import PercolationSample, adjacency
 
 # Symmetry tolerance for the dense eigensolve path.
 SYMMETRY_TOL = 1e-12
-
-# Dense eigensolves are refused above this size.
-EIGENSOLVE_LIMIT = 4000
 
 # Rows per strip of the symmetry check: the only workspace is one
 # strip-by-N buffer (1.5 MB at N=1500) instead of two N x N temporaries.
@@ -42,8 +40,7 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    if n > EIGENSOLVE_LIMIT:
-        raise SizeLimitError(f"dense eigensolve refused for N={n} > {EIGENSOLVE_LIMIT}")
+    check_size("dense eigensolve", n, EIGENSOLVE_LIMIT)
     buf = np.empty((min(n, _SYMMETRY_STRIP), n))
     for lo in range(0, n, _SYMMETRY_STRIP):
         d = buf[: min(_SYMMETRY_STRIP, n - lo)]
@@ -116,8 +113,6 @@ def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: flo
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    from .inversion import SpectralCurve
-
     grid = np.asarray(grid, dtype=float)
     vals = spectrum.eigenvalues
     dens = np.zeros_like(grid)
@@ -155,11 +150,10 @@ def monte_carlo_spectrum(spec, seed: int, trials: int, normalized: bool = False,
     `normalized` switches from W = A/gamma to Delta^{-1} A; `scale`
     multiplies every eigenvalue (used for the sqrt(gamma) comparison mode).
     """
+    # looked up at call time, so a wrapper on percolation.sample sees every draw
     from .percolation import sample as draw
 
-    n = node_count(spec)
-    if n > EIGENSOLVE_LIMIT:
-        raise SizeLimitError(f"dense eigensolve refused for N={n} > {EIGENSOLVE_LIMIT}")
+    check_size("dense eigensolve", node_count(spec), EIGENSOLVE_LIMIT)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     spectra = []

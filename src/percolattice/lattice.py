@@ -11,19 +11,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
-# Dense materialization cap; beyond this only the edge stream is exposed.
-DENSE_NODE_LIMIT = 10_000
+# Size caps, each enforced through check_size.
+DENSE_NODE_LIMIT = 10_000     # dense adjacency; beyond it only the edge stream
+EIGENSOLVE_LIMIT = 4000       # dense eigensolve
+ORACLE_NODE_LIMIT = 600       # matrix-level canonical oracle
+BRANCH_LIMIT = 2**23          # branches 2^D held at once, ~65 B each downstream
 
 # Node counts must stay addressable as signed 64-bit.
 _NODE_COUNT_LIMIT = 2**63 - 1
 
 
 class SizeLimitError(ValueError):
-    """A requested dense computation (adjacency, eigensolve, oracle) exceeds its size limit."""
+    """A requested computation exceeds its size limit (raised by check_size only)."""
+
+
+def check_size(what: str, size: int, limit: int, name: str = "N") -> None:
+    """Raise SizeLimitError if size exceeds limit."""
+    if size > limit:
+        raise SizeLimitError(f"{what} refused for {name}={size} > {limit}")
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,7 @@ def _kron_chain(blocks) -> np.ndarray:
 
 def dimension_adjacency(spec: LatticeSpec, d: int) -> np.ndarray:
     """Adjacency restricted to links along lattice dimension d (0-based)."""
-    n = node_count(spec)
-    if n > DENSE_NODE_LIMIT:
-        raise SizeLimitError(f"dense adjacency refused for N={n} > {DENSE_NODE_LIMIT}")
+    check_size("dense adjacency", node_count(spec), DENSE_NODE_LIMIT)
     blocks = [
         _complete_graph(m) if k == d else np.eye(m) for k, m in enumerate(spec.dims)
     ]
@@ -160,19 +166,19 @@ def branch_table(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 
     b_j = (1/gamma) sum_d p_d * (M_d - 1 if j_d = 0 else -1),
     m_j = prod_d (1 if j_d = 0 else M_d - 1).
-    Returned in itertools.product order.
+    Built by broadcasting over (2,)*D arrays, axis d holding j_d, adding the
+    dimensions in order; the C-order ravel is itertools.product order.
     """
-    gamma = expected_degree(spec)
-    values, mults = [], []
-    for j in product((0, 1), repeat=spec.ndim):
-        b = sum(
-            p * ((m - 1) if jd == 0 else -1)
-            for p, m, jd in zip(spec.probs, spec.dims, j)
-        ) / gamma
-        mult = math.prod((1 if jd == 0 else m - 1) for m, jd in zip(spec.dims, j))
-        values.append(b)
-        mults.append(mult)
-    return np.array(values), np.array(mults, dtype=np.int64)
+    d = spec.ndim
+    check_size("branch table", 2**d, BRANCH_LIMIT, name="2^D")
+    values = np.zeros((2,) * d)
+    mults = np.ones((2,) * d, dtype=np.int64)
+    for axis, (p, m) in enumerate(zip(spec.probs, spec.dims)):
+        shape = (1,) * axis + (2,) + (1,) * (d - axis - 1)
+        values += np.array([p * (m - 1), -p]).reshape(shape)
+        mults *= np.array([1, m - 1], dtype=np.int64).reshape(shape)
+    values /= expected_degree(spec)
+    return values.ravel(), mults.ravel()
 
 
 def expected_spectrum(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import numpy as np
 from .lattice import (
     DENSE_NODE_LIMIT,
     LatticeSpec,
-    SizeLimitError,
+    check_size,
     expected_degree,
     node_count,
     supergraph_edges,
@@ -53,8 +53,7 @@ def sample(spec: LatticeSpec, seed: int) -> PercolationSample:
 def adjacency(sample: PercolationSample) -> np.ndarray:
     """Dense 0/1 adjacency of the sampled graph."""
     n = node_count(sample.spec)
-    if n > DENSE_NODE_LIMIT:
-        raise SizeLimitError(f"dense adjacency refused for N={n} > {DENSE_NODE_LIMIT}")
+    check_size("dense adjacency", n, DENSE_NODE_LIMIT)
     a = np.zeros((n, n))
     i = sample.edges[:, 0] - 1
     j = sample.edges[:, 1] - 1

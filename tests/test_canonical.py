@@ -1,3 +1,7 @@
+import tracemalloc
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from percolattice.canonical import (
     matrix_k1_oracle,
     oracle_z_grid,
     recover_all_alphas,
-    solution_form_basis,
+    solution_form_residual,
     solve_alpha,
     variance_matrix,
 )
@@ -22,6 +26,17 @@ from percolattice.lattice import (
     expected_matrix,
     node_count,
 )
+
+
+def _solution_form_basis(spec):
+    """The 2^D Kronecker products of I or J - I, itertools.product order."""
+    basis = []
+    for i in product((0, 1), repeat=spec.ndim):
+        blocks = [np.ones((m, m)) - np.eye(m) if i_d == 0 else np.eye(m)
+                  for m, i_d in zip(spec.dims, i)]
+        # np.kron varies its right factor fastest, nodes their first digit
+        basis.append(reduce(np.kron, reversed(blocks)))
+    return basis
 
 
 def _g(problem, z, a):
@@ -389,12 +404,8 @@ class TestRecoverAllAlphas:
         z = 0.2 + 0.6j
         sol = solve_alpha(prob, z)
         vec = recover_all_alphas(prob, sol)
-        basis = solution_form_basis(spec)
-        idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        from itertools import product
-
-        idx = list(product((0, 1), repeat=2))
-        c = sum(vec[i] * t for i, t in zip(idx, basis))
+        idx = product((0, 1), repeat=2)
+        c = sum(vec[i] * t for i, t in zip(idx, _solution_form_basis(spec)))
         n = node_count(spec)
         exact = np.linalg.inv(expected_matrix(spec) - z * np.eye(n))
         assert np.abs(c - exact).max() < 1e-10
@@ -449,6 +460,52 @@ class TestMatrixOracle:
         prob = build_problem(spec)
         rows = variance_matrix(spec).sum(axis=1)
         assert np.allclose(rows, prob.variance_sum, atol=1e-15)
+
+
+class TestSolutionFormResidual:
+    @staticmethod
+    def _lstsq_residual(spec, c):
+        """The least-squares distance the per-axis projection replaced."""
+        a = np.column_stack([t.ravel() for t in _solution_form_basis(spec)])
+        vec = c.ravel()
+        coef, *_ = np.linalg.lstsq(a.astype(complex), vec, rcond=None)
+        return np.linalg.norm(vec - a @ coef) / np.linalg.norm(vec)
+
+    @staticmethod
+    def _random_specs(rng, count):
+        for _ in range(count):
+            d = int(rng.integers(1, 5))
+            dims = tuple(int(m) for m in rng.integers(2, 5, size=d))
+            yield LatticeSpec(dims, (0.5,) * d)
+
+    def test_matches_least_squares(self):
+        rng = np.random.default_rng(11)
+        for spec in self._random_specs(rng, 40):
+            n = node_count(spec)
+            c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            ref = self._lstsq_residual(spec, c)
+            assert abs(solution_form_residual(spec, c) - ref) <= 1e-12 * ref
+
+    def test_zero_inside_the_span(self):
+        rng = np.random.default_rng(12)
+        for spec in self._random_specs(rng, 40):
+            basis = _solution_form_basis(spec)
+            coef = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+            c = sum(a * t for a, t in zip(coef, basis))
+            assert solution_form_residual(spec, c) <= 1e-14
+
+    def test_memory_at_oracle_cap(self):
+        # the least-squares form held a 360000 x 32 complex basis (352 MiB)
+        spec = LatticeSpec((2, 3, 4, 5, 5), (0.9, 0.7, 0.5, 0.3, 0.2))
+        _, c = matrix_k1_oracle(spec, 0.2 + 0.5j, tol=1e-12, return_matrix=True)
+        tracemalloc.start()
+        try:
+            residual = solution_form_residual(spec, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-11
+        assert peak <= 40 * 2**20
 
 
 def test_oracle_grid_shape():

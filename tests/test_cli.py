@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from percolattice import cli
+from percolattice import cli, lattice, percolation
 from percolattice.canonical import SolverError
 from percolattice.cli import main
 
@@ -225,6 +225,71 @@ class TestRightEdgeMass:
         assert not out.exists()
 
 
+class TestCurveLabel:
+    @pytest.mark.parametrize("eps, normalized, label", [
+        ("1e-6", False, "empirical"),
+        ("10", False, "deterministic"),
+        ("10", True, "reference (scaled adjacency)"),
+    ])
+    def test_too_little_mass_names_the_curve(self, tmp_path, capsys, eps, normalized,
+                                             label):
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--dims", "3,4", "--probs", "0.5,0.5", "--trials", "2",
+                "--grid-points", "100", "--margin", "0", "--epsilon", eps,
+                "--output", str(out)] + (["--normalized"] if normalized else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {label} curve: CDF reaches only ")
+        assert not out.exists()
+
+
+class TestSizeGates:
+    TWOS = ",".join(["2"] * 24)
+    HALVES = ",".join(["0.5"] * 24)
+
+    # (module, limit name, lowered value or None, argv, message): lowering a
+    # limit reaches a gate that an earlier one shadows at the real limits.
+    # eigenvalues' own gate shares monte_carlo_spectrum's limit, so no run
+    # reaches it; test_espectrum calls it directly.
+    GATES = [
+        pytest.param(None, None, None,
+                     ["solve", "--dims", TWOS, "--probs", HALVES],
+                     "branch table refused for 2^D=16777216 > 8388608", id="branch_table"),
+        pytest.param(None, None, None,
+                     ["oracle", "--dims", "30,50", "--probs", "0.7,0.5"],
+                     "oracle refused for N=1500 > 600", id="cmd_oracle"),
+        pytest.param(cli, "ORACLE_NODE_LIMIT", 1000,
+                     ["oracle", "--dims", "25,25", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
+                     "oracle refused for N=625 > 600", id="matrix_k1_oracle"),
+        pytest.param(lattice, "DENSE_NODE_LIMIT", 10,
+                     ["oracle", "--dims", "3,4", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
+                     "dense adjacency refused for N=12 > 10", id="dimension_adjacency"),
+        pytest.param(None, None, None,
+                     ["simulate", "--dims", "80,80", "--probs", "0.5,0.5", "--trials", "1"],
+                     "dense eigensolve refused for N=6400 > 4000",
+                     id="monte_carlo_spectrum"),
+        pytest.param(percolation, "DENSE_NODE_LIMIT", 10,
+                     ["simulate", "--dims", "3,4", "--probs", "0.7,0.5", "--trials", "1"],
+                     "dense adjacency refused for N=12 > 10", id="percolation_adjacency"),
+    ]
+
+    @pytest.mark.parametrize("module, name, value, argv, message", GATES)
+    def test_gate_exits_2(self, tmp_path, monkeypatch, capsys, module, name, value,
+                          argv, message):
+        if module is not None:
+            monkeypatch.setattr(module, name, value)
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"size limit: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_conditions_needs_no_branches(self, capsys):
+        assert main(["conditions", "--dims", self.TWOS, "--probs", self.HALVES]) == 0
+        assert "mean_row_sum=1\n" in capsys.readouterr().out
+
+
 class TestCompare:
     def test_variance_zero_close_curves(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
@@ -253,6 +318,13 @@ class TestOracle:
 
     def test_size_limit(self):
         assert main(["oracle", "--dims", "30,50", "--probs", "0.7,0.5"]) == 2
+
+    def test_at_documented_cap(self, capsys):
+        # N=576, D=8: the least-squares residual's 331776 x 256 complex basis
+        # (1.27 GiB) used to end this run in a MemoryError traceback
+        assert main(["oracle", "--dims", "2,2,2,2,2,2,3,3",
+                     "--probs", "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2", "--z", "0.2+0.5i"]) == 0
+        assert "OK: worst disagreement" in capsys.readouterr().out
 
 
 class TestConditions:

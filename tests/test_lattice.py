@@ -1,11 +1,16 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolattice.lattice import (
+    BRANCH_LIMIT,
     LatticeSpec,
     SizeLimitError,
+    branch_table,
     decode_index,
     dimension_adjacency,
     encode_index,
@@ -41,6 +46,21 @@ def _reference_supergraph_edges(spec):
     dd = np.concatenate(rows_d)
     order = np.lexsort((j, i))
     return np.column_stack([i[order], j[order], dd[order]])
+
+
+def _reference_branch_table(spec):
+    """The per-branch loop branch_table replaced, kept as a reference."""
+    gamma = expected_degree(spec)
+    values, mults = [], []
+    for j in product((0, 1), repeat=spec.ndim):
+        b = sum(
+            p * ((m - 1) if jd == 0 else -1)
+            for p, m, jd in zip(spec.probs, spec.dims, j)
+        ) / gamma
+        mult = math.prod((1 if jd == 0 else m - 1) for m, jd in zip(spec.dims, j))
+        values.append(b)
+        mults.append(mult)
+    return np.array(values), np.array(mults, dtype=np.int64)
 
 
 # D = 1..5; all-twos at every D and a lone M_d = 2 in every position;
@@ -240,3 +260,23 @@ class TestExpectedSpectrum:
         flat = np.sort(np.repeat(*expected_spectrum(spec)))
         dense = np.sort(np.linalg.eigvalsh(expected_matrix(spec)))
         assert np.abs(flat - dense).max() < 1e-10
+
+
+class TestBranchTable:
+    def test_bytes_match_per_branch_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            dims = tuple(int(m) for m in rng.integers(2, 12, size=d))
+            probs = tuple(float(p) for p in rng.uniform(0.01, 1.0, size=d))
+            spec = LatticeSpec(dims, probs)
+            values, mults = branch_table(spec)
+            ref_values, ref_mults = _reference_branch_table(spec)
+            assert values.tobytes() == ref_values.tobytes()
+            assert mults.dtype == np.int64
+            assert mults.tobytes() == ref_mults.tobytes()
+
+    def test_branch_cap(self):
+        d = BRANCH_LIMIT.bit_length()  # 2^d is the first count over the cap
+        with pytest.raises(SizeLimitError, match=r"branch table refused for 2\^D="):
+            branch_table(LatticeSpec((2,) * d, (0.5,) * d))

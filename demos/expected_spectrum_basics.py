@@ -1,8 +1,8 @@
 """Walk through the deterministic side of the model.
 
-Builds a small 2-D lattice, shows the mixed-radix indexing and the
-Kronecker structure of its adjacency, and checks the closed-form spectrum
-of the expected scaled adjacency against a dense eigensolve.
+Builds a small 2-D lattice, shows the mixed-radix indexing and the row
+sums of its adjacency, and checks the closed-form spectrum of the
+expected scaled adjacency against a dense eigensolve.
 """
 
 import numpy as np

@@ -22,11 +22,12 @@ from .lattice import (
     LatticeSpec,
     branch_table,
     check_size,
-    dimension_adjacency,
     expected_degree,
     expected_matrix,
     expected_spectrum,
+    link_matrix,
     node_count,
+    variance_sum,
 )
 
 
@@ -62,14 +63,10 @@ class CanonicalSolution:
 
 
 def build_problem(spec: LatticeSpec) -> CanonicalProblem:
-    gamma = expected_degree(spec)
-    sigma2 = sum(
-        p * (1 - p) * (m - 1) for p, m in zip(spec.probs, spec.dims)
-    ) / gamma**2
     atoms, mults = expected_spectrum(spec)
     return CanonicalProblem(
         spec=spec,
-        variance_sum=float(sigma2),
+        variance_sum=variance_sum(spec),
         atoms=atoms,
         weights=mults / node_count(spec),
     )
@@ -91,6 +88,9 @@ _LEVEL_TOL = 1e-6
 
 # Sweeps per level.
 _MAX_SWEEPS = 200
+
+# Iterations of the matrix oracle's damped fixed point before it gives up.
+_ORACLE_MAX_ITER = 200_000
 
 
 def _g(atoms, weights, sig2, z, alpha):
@@ -258,10 +258,7 @@ def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -
 def variance_matrix(spec: LatticeSpec) -> np.ndarray:
     """Entrywise variances of the centered scaled adjacency, dense."""
     gamma = expected_degree(spec)
-    return sum(
-        (p * (1 - p) / gamma**2) * dimension_adjacency(spec, d)
-        for d, p in enumerate(spec.probs)
-    )
+    return link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
 
 
 def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
@@ -292,7 +289,6 @@ def matrix_k1_oracle(
     spec: LatticeSpec,
     z: complex,
     tol: float = 1e-10,
-    max_iter: int = 200_000,
     return_matrix: bool = False,
 ):
     """Matrix-level canonical fixed point; the independent check on solve_alpha.
@@ -314,7 +310,7 @@ def matrix_k1_oracle(
     eta = 1.0
     prev_delta = np.inf
     converged = False
-    for it in range(1, max_iter + 1):
+    for _ in range(_ORACLE_MAX_ITER):
         shift = v @ np.diagonal(c)
         c_next = np.linalg.inv(base - np.diag(shift))
         c = (1.0 - eta) * c + eta * c_next

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical import CanonicalProblem
+from .lattice import GRID_POINT_LIMIT, check_size
 
 # Tiny negative densities are rounding noise; anything worse means the
 # transform is off the Herglotz branch.
@@ -84,11 +86,15 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
     return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density)
 
 
-def auto_grid(problem: CanonicalProblem, points: int = 2000, margin: float = 0.1) -> np.ndarray:
+def auto_grid(problem: CanonicalProblem, points: int, margin: float) -> np.ndarray:
     """Uniform grid covering all branch values with variance-scaled margins."""
     if points < 16:
         raise ValueError("grid needs at least 16 points")
-    w = margin + 4.0 * np.sqrt(problem.variance_sum)
-    lo = problem.atoms.min() - w
-    hi = problem.atoms.max() + w
+    check_size("grid", points, GRID_POINT_LIMIT, name="points")
+    # Python floats: an overflowing span becomes inf without a numpy warning
+    w = margin + 4.0 * math.sqrt(problem.variance_sum)
+    lo = float(problem.atoms.min()) - w
+    hi = float(problem.atoms.max()) + w
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid span overflows at margin {margin:g}; choose a smaller margin")
     return np.linspace(lo, hi, points)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -19,6 +18,7 @@ DENSE_NODE_LIMIT = 10_000     # dense adjacency; beyond it only the edge stream
 EIGENSOLVE_LIMIT = 4000       # dense eigensolve
 ORACLE_NODE_LIMIT = 600       # matrix-level canonical oracle
 BRANCH_LIMIT = 2**23          # branches 2^D held at once, ~65 B each downstream
+GRID_POINT_LIMIT = 2**22      # real grid points, ~120 B each through solve/simulate
 
 # Node counts must stay addressable as signed 64-bit.
 _NODE_COUNT_LIMIT = 2**63 - 1
@@ -100,30 +100,6 @@ def encode_index(spec: LatticeSpec, digits) -> int:
     return x + 1
 
 
-def _complete_graph(m: int) -> np.ndarray:
-    return np.ones((m, m)) - np.eye(m)
-
-
-def _kron_chain(blocks) -> np.ndarray:
-    # np.kron varies its right factor fastest; node indexing varies the
-    # first lattice dimension fastest, so chain in reversed dimension order.
-    return reduce(np.kron, reversed(list(blocks)))
-
-
-def dimension_adjacency(spec: LatticeSpec, d: int) -> np.ndarray:
-    """Adjacency restricted to links along lattice dimension d (0-based)."""
-    check_size("dense adjacency", node_count(spec), DENSE_NODE_LIMIT)
-    blocks = [
-        _complete_graph(m) if k == d else np.eye(m) for k, m in enumerate(spec.dims)
-    ]
-    return _kron_chain(blocks)
-
-
-def lattice_adjacency(spec: LatticeSpec) -> np.ndarray:
-    """Full supergraph adjacency as the Kronecker sum over dimensions."""
-    return sum(dimension_adjacency(spec, d) for d in range(spec.ndim))
-
-
 def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
     """All supergraph links as an (E, 3) int64 array of (i, j, dim), i < j, 1-based.
 
@@ -156,9 +132,33 @@ def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
     return np.column_stack([i[order], j[order], dd[order]])
 
 
+def link_matrix(spec: LatticeSpec, per_dim) -> np.ndarray:
+    """Dense N x N matrix holding per_dim[d] at both entries of every dimension-d link."""
+    n = node_count(spec)
+    check_size("dense adjacency", n, DENSE_NODE_LIMIT)  # before any edge is listed
+    edges = supergraph_edges(spec)
+    i, j = edges[:, 0] - 1, edges[:, 1] - 1
+    a = np.zeros((n, n))
+    a[i, j] = a[j, i] = np.asarray(per_dim, dtype=float)[edges[:, 2]]
+    return a
+
+
+def lattice_adjacency(spec: LatticeSpec) -> np.ndarray:
+    """Full 0/1 supergraph adjacency."""
+    return link_matrix(spec, [1.0] * spec.ndim)
+
+
 def expected_degree(spec: LatticeSpec) -> float:
     """Expected node degree gamma = sum_d p_d (M_d - 1)."""
     return float(sum(p * (m - 1) for p, m in zip(spec.probs, spec.dims)))
+
+
+def variance_sum(spec: LatticeSpec) -> float:
+    """Row sum of entry variances sigma^2 = sum_d p_d (1 - p_d) (M_d - 1) / gamma^2."""
+    return float(
+        sum(p * (1 - p) * (m - 1) for p, m in zip(spec.probs, spec.dims))
+        / expected_degree(spec) ** 2
+    )
 
 
 def branch_table(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -200,6 +200,4 @@ def expected_spectrum(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 def expected_matrix(spec: LatticeSpec) -> np.ndarray:
     """Expected scaled adjacency B = (1/gamma) sum_d p_d A_d, dense."""
     gamma = expected_degree(spec)
-    return sum(
-        p * dimension_adjacency(spec, d) for d, p in enumerate(spec.probs)
-    ) / gamma
+    return link_matrix(spec, [p / gamma for p in spec.probs])

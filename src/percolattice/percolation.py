@@ -19,6 +19,7 @@ from .lattice import (
     expected_degree,
     node_count,
     supergraph_edges,
+    variance_sum,
 )
 
 
@@ -73,13 +74,10 @@ def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:
     gamma = expected_degree(spec)
     n = node_count(spec)
     mean_row_sum = sum(p * (m - 1) for p, m in zip(spec.probs, spec.dims)) / gamma
-    variance_row_sum = (
-        sum((m - 1) * p * (1 - p) for p, m in zip(spec.probs, spec.dims)) / gamma**2
-    )
     min_scaled_variance = n * min(p * (1 - p) for p in spec.probs) / gamma**2
     return GirkoConditionReport(
         mean_row_sum=float(mean_row_sum),
-        variance_row_sum=float(variance_row_sum),
+        variance_row_sum=variance_sum(spec),
         max_entry_bound=1.0 / gamma,
         min_scaled_variance=float(min_scaled_variance),
     )

@@ -123,6 +123,17 @@ class TestConfigHandling:
         assert "config error: margin must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_grid_span_names_the_margin(self, tmp_path, capsys):
+        # a finite margin whose grid span overflows used to be blamed on
+        # epsilon, after a numpy overflow warning (an error under pytest)
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--dims", "3,4", "--probs", "0.5,0.5",
+                     "--margin", "1e308", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: grid span overflows at margin 1e+308; "
+                                "choose a smaller margin\n")
+        assert not out.exists()
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         # a directory used to end in an IsADirectoryError traceback
         assert main(["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
@@ -263,7 +274,7 @@ class TestSizeGates:
                      "oracle refused for N=625 > 600", id="matrix_k1_oracle"),
         pytest.param(lattice, "DENSE_NODE_LIMIT", 10,
                      ["oracle", "--dims", "3,4", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
-                     "dense adjacency refused for N=12 > 10", id="dimension_adjacency"),
+                     "dense adjacency refused for N=12 > 10", id="link_matrix"),
         pytest.param(None, None, None,
                      ["simulate", "--dims", "80,80", "--probs", "0.5,0.5", "--trials", "1"],
                      "dense eigensolve refused for N=6400 > 4000",
@@ -271,6 +282,10 @@ class TestSizeGates:
         pytest.param(percolation, "DENSE_NODE_LIMIT", 10,
                      ["simulate", "--dims", "3,4", "--probs", "0.7,0.5", "--trials", "1"],
                      "dense adjacency refused for N=12 > 10", id="percolation_adjacency"),
+        pytest.param(None, None, None,
+                     ["solve", "--dims", "3,4", "--probs", "0.5,0.5",
+                      "--grid-points", "1000000000000"],
+                     "grid refused for points=1000000000000 > 4194304", id="auto_grid"),
     ]
 
     @pytest.mark.parametrize("module, name, value, argv, message", GATES)

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -6,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percolattice import lattice
+from percolattice.canonical import variance_matrix
 from percolattice.lattice import (
     BRANCH_LIMIT,
     LatticeSpec,
     SizeLimitError,
     branch_table,
     decode_index,
-    dimension_adjacency,
     encode_index,
     expected_degree,
     expected_matrix,
     expected_spectrum,
     lattice_adjacency,
+    link_matrix,
     node_count,
     supergraph_edges,
 )
@@ -46,6 +49,38 @@ def _reference_supergraph_edges(spec):
     dd = np.concatenate(rows_d)
     order = np.lexsort((j, i))
     return np.column_stack([i[order], j[order], dd[order]])
+
+
+def _kron_dimension_adjacency(spec, d):
+    """Links along dimension d as a Kronecker product of I and J - I factors."""
+    blocks = [np.ones((m, m)) - np.eye(m) if k == d else np.eye(m)
+              for k, m in enumerate(spec.dims)]
+    # np.kron varies its right factor fastest, nodes their first digit
+    return reduce(np.kron, reversed(blocks))
+
+
+def _kron_reference_matrices(spec):
+    """The Kronecker-chain adjacency, B and V that link_matrix replaced."""
+    gamma = expected_degree(spec)
+    per_dim = [_kron_dimension_adjacency(spec, d) for d in range(spec.ndim)]
+    a = sum(per_dim)
+    b = sum(p * a_d for p, a_d in zip(spec.probs, per_dim)) / gamma
+    v = sum((p * (1 - p) / gamma**2) * a_d for p, a_d in zip(spec.probs, per_dim))
+    return a, b, v
+
+
+def _random_specs(count, seed, max_nodes=400):
+    """Specs with D = 1..5, sizes 2..30 and N <= max_nodes."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        d = int(rng.integers(1, 6))
+        dims = tuple(int(m) for m in rng.integers(2, 31 if d == 1 else 7, size=d))
+        if math.prod(dims) > max_nodes:
+            continue
+        probs = tuple(float(p) for p in rng.uniform(0.01, 1.0, size=d))
+        specs.append(LatticeSpec(dims, probs))
+    return specs
 
 
 def _reference_branch_table(spec):
@@ -186,9 +221,16 @@ class TestAdjacency:
             )
             assert np.array_equal(a, brute)
 
-    def test_dense_size_limit(self):
+    def test_dense_size_limit(self, monkeypatch):
+        def no_edges(spec):
+            pytest.fail("edges enumerated before the size check")
+
+        monkeypatch.setattr(lattice, "supergraph_edges", no_edges)
+        spec = LatticeSpec((200, 200), (0.5, 0.5))
+        with pytest.raises(SizeLimitError, match="dense adjacency refused for N=40000"):
+            link_matrix(spec, [1.0, 1.0])
         with pytest.raises(SizeLimitError):
-            dimension_adjacency(LatticeSpec((200, 200), (0.5, 0.5)), 0)
+            lattice_adjacency(spec)
 
     def test_supergraph_edges_canonical(self):
         for spec, degree in ((self.spec, 5), (LatticeSpec((2, 3, 4), (0.5,) * 3), 6)):
@@ -208,6 +250,27 @@ class TestAdjacency:
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+class TestLinkMatrix:
+    @staticmethod
+    def _assert_bytes_match_reference(spec):
+        want = _kron_reference_matrices(spec)
+        got = (lattice_adjacency(spec), expected_matrix(spec), variance_matrix(spec))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_bytes_match_kronecker_reference_random_specs(self):
+        for spec in _random_specs(220, seed=9):
+            self._assert_bytes_match_reference(spec)
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec((30, 20), (0.7, 0.5)),
+        LatticeSpec((2, 2, 2, 2, 2, 2, 3, 3), (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2)),
+    ], ids=lambda spec: str(spec.dims))
+    def test_bytes_match_kronecker_reference(self, spec):
+        self._assert_bytes_match_reference(spec)
 
 
 class TestExpectedDegree:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from percolattice.canonical import build_problem, variance_matrix
 from percolattice.espectrum import row_normalized_eigenvalues, trial_seed
 from percolattice.lattice import (
     LatticeSpec,
-    dimension_adjacency,
     expected_degree,
     expected_matrix,
     supergraph_edges,
@@ -128,12 +128,7 @@ class TestMatrices:
         for t in range(trials):
             acc += scaled_adjacency(sample(spec, trial_seed(2024, t)))
         acc /= trials
-        gamma = expected_degree(spec)
-        var = sum(
-            (p * (1 - p) / gamma**2) * dimension_adjacency(spec, d)
-            for d, p in enumerate(spec.probs)
-        )
-        se = np.sqrt(var / trials)
+        se = np.sqrt(variance_matrix(spec) / trials)
         link = se > 0
         assert np.all(np.abs(acc - b)[link] <= 3 * se[link])
         assert np.array_equal(acc[~link], b[~link])
@@ -152,6 +147,19 @@ class TestGirkoConditions:
         r = girko_conditions(LatticeSpec((3, 4), (1.0, 1.0)))
         assert r.variance_row_sum == 0.0
         assert r.min_scaled_variance == 0.0
+
+    def test_variance_row_sum_is_the_solver_sigma2(self):
+        # bitwise: conditions must print the sigma^2 that solve_alpha uses
+        specs = [LatticeSpec((10, 10, 20), (0.8, 0.7, 0.6))]
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            d = int(rng.integers(1, 5))
+            dims = tuple(int(m) for m in rng.integers(2, 40, size=d))
+            probs = tuple(float(p) for p in rng.uniform(0.01, 1.0, size=d))
+            specs.append(LatticeSpec(dims, probs))
+        for spec in specs:
+            got = girko_conditions(spec).variance_row_sum
+            assert got == build_problem(spec).variance_sum, spec
 
     def test_mean_row_sum_exactly_one_random_specs(self):
         rng = np.random.default_rng(0)

@@ -37,10 +37,6 @@ EXIT_SOLVER = 3
 EXIT_ORACLE = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _is_int(value) -> bool:
     """An int or an integral float such as 1e2, but not a bool."""
     if isinstance(value, float):
@@ -59,7 +55,7 @@ def _split(name: str, text: str, convert) -> tuple:
     try:
         return tuple(convert(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad {name} {text!r}: {exc}") from exc
+        raise ValueError(f"bad {name} {text!r}: {exc}") from exc
 
 
 def _parse_dims(value) -> tuple[int, ...]:
@@ -68,7 +64,7 @@ def _parse_dims(value) -> tuple[int, ...]:
         return _split("dims", value, int)
     if isinstance(value, list) and all(_is_int(v) for v in value):
         return tuple(int(v) for v in value)
-    raise ConfigError(f"dims must be a list of integers, got {value!r}")
+    raise ValueError(f"dims must be a list of integers, got {value!r}")
 
 
 def _parse_probs(value) -> tuple[float, ...]:
@@ -77,18 +73,24 @@ def _parse_probs(value) -> tuple[float, ...]:
         return _split("probs", value, float)
     if isinstance(value, list) and all(_is_number(v) for v in value):
         return tuple(float(v) for v in value)
-    raise ConfigError(f"probs must be a list of numbers, got {value!r}")
+    raise ValueError(f"probs must be a list of numbers, got {value!r}")
 
 
 def _parse_int(name: str, value) -> int:
     if not _is_int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_seed(value) -> int:
+    if not (_is_int(value) and value >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
     return int(value)
 
 
 def _parse_margin(value) -> float:
     if not (_is_number(value) and math.isfinite(value) and value >= 0):
-        raise ConfigError(f"margin must be a finite number >= 0, got {value!r}")
+        raise ValueError(f"margin must be a finite number >= 0, got {value!r}")
     return float(value)
 
 
@@ -96,24 +98,20 @@ def _parse_epsilon(value):
     """'auto' (or null) or a positive finite width."""
     if value is None or value == "auto":
         return None
+    if isinstance(value, bool):
+        raise ValueError(f"epsilon must be a number or 'auto', got {value!r}")
     try:
         eps = float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad epsilon {value!r}") from exc
+        raise ValueError(f"bad epsilon {value!r}") from exc
     if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"epsilon must be positive and finite, got {value!r}")
+        raise ValueError(f"epsilon must be positive and finite, got {value!r}")
     return eps
 
 
-def _parse_normalized(value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"normalized must be true or false, got {value!r}")
-    return value
-
-
-def _parse_output_path(value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"output_path must be a string, got {value!r}")
+def _parse_typed(name: str, kind: type, wording: str, value):
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {wording}, got {value!r}")
     return value
 
 
@@ -128,23 +126,22 @@ class RunConfig:
     dims: tuple[int, ...] = _parsed(parse=_parse_dims)
     probs: tuple[float, ...] = _parsed(parse=_parse_probs)
     trials: int = _parsed(50, parse=partial(_parse_int, "trials"))
-    seed: int = _parsed(0, parse=partial(_parse_int, "seed"))
+    seed: int = _parsed(0, parse=_parse_seed)
     grid_points: int = _parsed(2000, parse=partial(_parse_int, "grid_points"))
     margin: float = _parsed(0.1, parse=_parse_margin)
     epsilon: float | None = _parsed(None, parse=_parse_epsilon)  # None: 2x grid spacing
-    normalized: bool = _parsed(False, parse=_parse_normalized)
-    output_path: str = _parsed("curves.csv", parse=_parse_output_path)
+    normalized: bool = _parsed(
+        False, parse=partial(_parse_typed, "normalized", bool, "true or false"))
+    output_path: str = _parsed(
+        "curves.csv", parse=partial(_parse_typed, "output_path", str, "a string"))
 
     def spec(self) -> LatticeSpec:
-        try:
-            return LatticeSpec(dims=self.dims, probs=self.probs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return LatticeSpec(dims=self.dims, probs=self.probs)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _parse_z_list(text: str) -> list[complex]:
@@ -154,7 +151,7 @@ def _parse_z_list(text: str) -> list[complex]:
         try:
             out.append(complex(token))
         except ValueError as exc:
-            raise ConfigError(f"bad complex value {token!r}") from exc
+            raise ValueError(f"bad complex value {token!r}") from exc
     return out
 
 
@@ -178,13 +175,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             with open(args.config, encoding="utf-8") as fh:
                 values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(values, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object, "
-                              f"got {type(values).__name__}")
+            raise ValueError(f"config {args.config} must hold a JSON object, "
+                             f"got {type(values).__name__}")
         unknown = set(values) - {f.name for f in fields(RunConfig)}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -192,12 +189,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if f.name in values:
             values[f.name] = f.metadata["parse"](values[f.name])
     if "dims" not in values or "probs" not in values:
-        raise ConfigError("dims and probs are required (flags or config file)")
+        raise ValueError("dims and probs are required (flags or config file)")
     cfg = RunConfig(**values)
     if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     if cfg.grid_points < 16:
-        raise ConfigError("grid_points must be >= 16")
+        raise ValueError("grid_points must be >= 16")
     cfg.spec()
     return cfg
 
@@ -212,7 +209,7 @@ def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
             fh.write(",".join(names) + "\n")
             fh.writelines(line.format(*row) for row in rows)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _grid_and_eps(cfg: RunConfig, problem):
@@ -226,7 +223,7 @@ def _cdf(label: str, density):
     try:
         return cdf_from_density(density)
     except ValueError as exc:
-        raise ConfigError(f"{label} curve: {exc}") from exc
+        raise ValueError(f"{label} curve: {exc}") from exc
 
 
 def _deterministic_curves(problem, grid, eps):
@@ -234,14 +231,10 @@ def _deterministic_curves(problem, grid, eps):
     return _cdf("deterministic", dens)
 
 
-def _empirical_curves(cfg: RunConfig, spec, grid, eps):
+def _smoothed_curve(label: str, spectrum, grid, eps):
     # the CDF is integrated from the smoothed density, with the same eps as
     # the deterministic curve, so the two sides are compared like for like
-    scale = np.sqrt(expected_degree(spec)) if cfg.normalized else 1.0
-    pooled = monte_carlo_spectrum(
-        spec, cfg.seed, cfg.trials, normalized=cfg.normalized, scale=scale
-    )
-    return _cdf("empirical", smoothed_density(pooled, grid, eps))
+    return _cdf(label, smoothed_density(spectrum, grid, eps))
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -254,10 +247,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    if cfg.normalized:
+        raise ValueError("normalized is a compare mode: its grid spans the "
+                         "scaled-adjacency reference; use compare --normalized")
     spec = cfg.spec()
     problem = build_problem(spec)
     grid, eps = _grid_and_eps(cfg, problem)
-    curve = _empirical_curves(cfg, spec, grid, eps)
+    pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials)
+    curve = _smoothed_curve("empirical", pooled, grid, eps)
     _write_csv(cfg.output_path, {"x": grid, "f_emp": curve.density, "F_emp": curve.cdf})
     print(
         f"wrote empirical curves ({cfg.trials} trials, seed {cfg.seed}) "
@@ -275,16 +272,18 @@ def cmd_compare(cfg: RunConfig) -> int:
         # adjacency, both empirical.  The reference (scaled) curve occupies
         # the det columns so the CSV schema stays fixed.
         scale = np.sqrt(expected_degree(spec))
-        ref = monte_carlo_spectrum(spec, cfg.seed, cfg.trials, normalized=False,
-                                   scale=scale)
+        ref = monte_carlo_spectrum(spec, cfg.seed, cfg.trials, scale=scale)
         lo = min(ref.eigenvalues.min(), -scale) - 10 * eps
         hi = max(ref.eigenvalues.max(), scale) + 10 * eps
         grid = np.linspace(lo, hi, cfg.grid_points)
         eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
-        det = _cdf("reference (scaled adjacency)", smoothed_density(ref, grid, eps))
+        det = _smoothed_curve("reference (scaled adjacency)", ref, grid, eps)
+        pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials, normalized=True,
+                                      scale=scale)
     else:
         det = _deterministic_curves(problem, grid, eps)
-    emp = _empirical_curves(cfg, spec, grid, eps)
+        pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials)
+    emp = _smoothed_curve("empirical", pooled, grid, eps)
     report = compare_curves(det, emp)
     _write_csv(cfg.output_path, {
         "x": grid, "f_det": det.density, "F_det": det.cdf,
@@ -318,10 +317,8 @@ def cmd_oracle(cfg: RunConfig, z_list: list[complex] | None) -> int:
 
 def cmd_conditions(cfg: RunConfig) -> int:
     report = girko_conditions(cfg.spec())
-    print(f"mean_row_sum={report.mean_row_sum:.17g}")
-    print(f"variance_row_sum={report.variance_row_sum:.17g}")
-    print(f"max_entry_bound={report.max_entry_bound:.17g}")
-    print(f"min_scaled_variance={report.min_scaled_variance:.17g}")
+    for f in fields(report):
+        print(f"{f.name}={getattr(report, f.name):.17g}")
     return EXIT_OK
 
 
@@ -358,12 +355,9 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             zs = _parse_z_list(args.z) if args.z else None
             return cmd_oracle(cfg, zs)
-        if args.command == "conditions":
-            return cmd_conditions(cfg)
-        raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # the parser admits only the five subcommands
+        return cmd_conditions(cfg)
+    # SizeLimitError is a ValueError, so it is caught before ValueError
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE

@@ -9,6 +9,7 @@ eigenvalues, computed here in closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,13 @@ def check_size(what: str, size: int, limit: int, name: str = "N") -> None:
         raise SizeLimitError(f"{what} refused for {name}={size} > {limit}")
 
 
+def _is_size(m) -> bool:
+    """An integer, numpy's included, or an integral float such as 4.0; not a bool."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Real):
+        return False
+    return isinstance(m, numbers.Integral) or float(m).is_integer()
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Lattice model parameters: per-dimension sizes and link probabilities."""
@@ -42,8 +50,13 @@ class LatticeSpec:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(m) for m in self.dims))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        dims, probs = tuple(self.dims), tuple(self.probs)
+        if not all(_is_size(m) for m in dims):
+            raise ValueError(f"every dimension size must be an integer, got {dims}")
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in probs):
+            raise ValueError(f"every link probability must be a real number, got {probs}")
+        object.__setattr__(self, "dims", tuple(int(m) for m in dims))
+        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
         if len(self.dims) < 1:
             raise ValueError("lattice needs at least one dimension")
         if len(self.dims) != len(self.probs):
@@ -61,6 +74,12 @@ class LatticeSpec:
                 raise ValueError(
                     f"node count {'x'.join(map(str, self.dims))} overflows 64-bit range"
                 )
+        # every quotient by gamma or gamma^2 downstream is finite once gamma^2 > 0
+        gamma = expected_degree(self)
+        if not gamma**2 > 0:
+            raise ValueError(
+                f"expected degree gamma={gamma:.3g} is too small: gamma^2 underflows to 0"
+            )
 
     @property
     def ndim(self) -> int:

@@ -88,6 +88,9 @@ class TestConfigHandling:
         ("solve", "output_path", 7),
         ("solve", "output_path", 1),
         ("solve", "output_path", None),
+        ("solve", "epsilon", True),
+        ("solve", "seed", -1),
+        ("simulate", "seed", -1),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                               command, key, value):
@@ -104,6 +107,30 @@ class TestConfigHandling:
         assert f"config error: {key} must be" in captured.err
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        # `simulate` used to fail late with numpy's "expected non-negative
+        # integer", naming no key, and `solve` accepted the seed
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--dims", "3,4", "--probs", "0.7,0.5", "--trials", "1",
+                     "--seed", "-1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: seed must be a non-negative integer, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["conditions", "solve", "simulate", "compare",
+                                         "oracle"])
+    @pytest.mark.parametrize("dims, probs", [("2", "1e-320"), ("3", "1e-200")])
+    def test_underflowing_gamma_squared_is_config_error(self, tmp_path, capsys, command,
+                                                        dims, probs):
+        # gamma^2 == 0 used to end in a ZeroDivisionError traceback
+        out = tmp_path / "o.csv"
+        assert main([command, "--dims", dims, "--probs", probs, "--trials", "1",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expected degree gamma=")
+        assert "gamma^2 underflows to 0" in err
+        assert not out.exists()
 
     def test_config_must_be_json_object(self, tmp_path, capsys):
         # a top-level array used to end in a TypeError traceback
@@ -303,6 +330,56 @@ class TestSizeGates:
     def test_conditions_needs_no_branches(self, capsys):
         assert main(["conditions", "--dims", self.TWOS, "--probs", self.HALVES]) == 0
         assert "mean_row_sum=1\n" in capsys.readouterr().out
+
+
+class TestSharedColumns:
+    def test_solve_and_simulate_are_column_subsets_of_compare(self, tmp_path):
+        # one grid, one deterministic and one empirical curve helper serve
+        # all three commands, so their CSVs agree byte for byte
+        common = ["--dims", "4,5", "--probs", "0.7,0.5", "--trials", "3", "--seed", "5",
+                  "--grid-points", "300"]
+        for command in ("solve", "simulate", "compare"):
+            assert main([command] + common + ["--output", str(tmp_path / command)]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "compare").read_text().splitlines()]
+
+        def columns(*picked):
+            return "".join(",".join(r[k] for k in picked) + "\n" for r in rows)
+
+        assert (tmp_path / "solve").read_text() == columns(0, 1, 2)
+        assert (tmp_path / "simulate").read_text() == columns(0, 3, 4)
+
+
+class TestNormalizedIsCompareOnly:
+    MESSAGE = ("config error: normalized is a compare mode: its grid spans the "
+               "scaled-adjacency reference; use compare --normalized\n")
+
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_simulate_rejects_normalized(self, tmp_path, monkeypatch, capsys, by):
+        # it used to sample every trial, then fail the right-edge mass check
+        # on sqrt(gamma)-scaled eigenvalues over the unscaled grid
+        def no_sampling(spec, seed):
+            raise AssertionError("simulate --normalized sampled")
+
+        monkeypatch.setattr(percolation, "sample", no_sampling)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--dims", "6,6", "--probs", "0.6,0.6", "--trials", "2"]
+        if by == "flag":
+            argv.append("--normalized")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"normalized": True}))
+            argv += ["--config", "cfg.json"]
+        assert main(argv + ["--output", "o.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self.MESSAGE
+        assert captured.out == ""
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_solve_ignores_normalized(self, tmp_path):
+        common = ["solve", "--dims", "4,5", "--probs", "0.7,0.5", "--grid-points", "300"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(common + ["--output", str(plain)]) == 0
+        assert main(common + ["--normalized", "--output", str(flagged)]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
 
 
 class TestCompare:

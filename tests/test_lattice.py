@@ -138,6 +138,43 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="overflow"):
             LatticeSpec((2**40, 2**40), (0.5, 0.5))
 
+    @pytest.mark.parametrize("dims, probs", [
+        ((2,), (1e-320,)),
+        ((3,), (1e-200,)),
+        ((3, 4), (1e-170, 1e-170)),
+    ])
+    def test_rejects_underflowing_gamma_squared(self, dims, probs):
+        # gamma^2 = 0 used to end in a ZeroDivisionError in variance_sum
+        with pytest.raises(ValueError, match="gamma"):
+            LatticeSpec(dims, probs)
+
+    def test_accepts_tiny_gamma_with_positive_square(self):
+        spec = LatticeSpec((3, 4), (1e-150, 1e-150))
+        assert expected_degree(spec) ** 2 > 0
+
+    # each used to be coerced silently: (2.5, 3.9) to (2, 3), True to 1 or 1.0
+    @pytest.mark.parametrize("dims, probs", [
+        ((2.5, 3.9), (0.5, 0.5)),
+        ((3, 4.5), (0.5, 0.5)),
+        ((True, 3), (0.5, 0.5)),
+        ((np.bool_(True), 3), (0.5, 0.5)),
+        (("3", "4"), (0.5, 0.5)),
+        ((3, float("inf")), (0.5, 0.5)),
+        ((3, 4), (True, 0.5)),
+        ((3, 4), (np.bool_(True), 0.5)),
+        ((3, 4), ("0.5", 0.5)),
+        ((3, 4), (0.5 + 0j, 0.5)),
+    ])
+    def test_rejects_coercion(self, dims, probs):
+        with pytest.raises(ValueError, match="must be (an integer|a real number)"):
+            LatticeSpec(dims, probs)
+
+    def test_accepts_numpy_and_integral_float_sizes(self):
+        spec = LatticeSpec((np.int64(3), 4.0, np.int32(5)), (np.float64(0.5), 1, 0.25))
+        assert spec.dims == (3, 4, 5) and spec.probs == (0.5, 1.0, 0.25)
+        assert all(type(m) is int for m in spec.dims)
+        assert all(type(p) is float for p in spec.probs)
+
 
 class TestNodeCount:
     def test_figure_1a_dims(self):

@@ -83,8 +83,9 @@ _BLOCK = 2048
 _START_IM = 2.0
 _LEVEL_RATIO = 64.0
 
-# Residual that ends an intermediate continuation level.
+# Residual that ends an intermediate continuation level, and the last one.
 _LEVEL_TOL = 1e-6
+_TOL = 1e-12
 
 # Sweeps per level.
 _MAX_SWEEPS = 200
@@ -144,7 +145,7 @@ def _solve_level(atoms, weights, sig2, z, alpha, tol):
     return alpha, np.abs(r), sweeps
 
 
-def _solve_block(atoms, weights, sig2, z, tol):
+def _solve_block(atoms, weights, sig2, z):
     """Continuation in |Im z| from _START_IM down to each point's own |Im z|."""
     y = np.abs(z.imag)
     alpha = 1j * np.sign(z.imag)
@@ -156,7 +157,7 @@ def _solve_block(atoms, weights, sig2, z, tol):
         idx = np.flatnonzero(todo)
         final = y[idx] >= im
         zk = np.where(final, z[idx], z.real[idx] + 1j * np.sign(z.imag[idx]) * im)
-        level_tol = np.where(final, tol, _LEVEL_TOL)
+        level_tol = np.where(final, _TOL, _LEVEL_TOL)
         alpha[idx], residual[idx], n = _solve_level(
             atoms, weights, sig2, zk, alpha[idx], level_tol)
         sweeps += n
@@ -165,7 +166,7 @@ def _solve_block(atoms, weights, sig2, z, tol):
     return alpha, residual, sweeps
 
 
-def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSolution:
+def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     """Solve the scalar self-consistency equation at z (Im z != 0 everywhere).
 
     z is a complex scalar or a 1-D array of them; every point is solved at
@@ -181,12 +182,12 @@ def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSo
     Earle-Hamilton theorem, converges from any start (Helton, Rashidi Far
     and Speicher, "Operator-valued semicircular elements: solving a
     quadratic matrix equation with positivity constraints", IMRN 2007).
-    Intermediate levels stop at |r| <= 1e-6, the last at |r| <= tol.
+    Intermediate levels stop at |r| <= 1e-6, the last at |r| <= 1e-12.
 
     Returns alpha_principal with z's shape (a complex for scalar z), the
     worst |r| over the points and, as iterations, the largest number of
     vectorized sweeps any block needed. Raises SolverError naming the
-    worst point if any point misses tol, and ValueError if any z is real
+    worst point if any point misses 1e-12, and ValueError if any z is real
     or not finite.
     """
     scalar = np.ndim(z) == 0
@@ -211,13 +212,13 @@ def solve_alpha(problem: CanonicalProblem, z, tol: float = 1e-12) -> CanonicalSo
         for lo in range(0, zs.size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             alpha[block], residual[block], n = _solve_block(
-                atoms, weights, sig2, zs[block], tol)
+                atoms, weights, sig2, zs[block])
             sweeps = max(sweeps, n)
-        if not np.all(residual <= tol):
+        if not np.all(residual <= _TOL):
             worst = int(np.argmax(residual))
             raise SolverError(
                 f"no convergence at z={complex(zs[worst])} after {sweeps} sweeps "
-                f"(residual {residual[worst]:.3e} > tol {tol:.1e})",
+                f"(residual {residual[worst]:.3e} > tol {_TOL:.1e})",
                 residual=float(residual[worst]), iterations=sweeps,
             )
     return CanonicalSolution(

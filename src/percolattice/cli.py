@@ -26,7 +26,7 @@ from .canonical import (
 from .espectrum import monte_carlo_spectrum, smoothed_density
 from .inversion import auto_grid, cdf_from_density, default_epsilon, density_curve
 from .lattice import ORACLE_NODE_LIMIT, LatticeSpec, SizeLimitError, check_size
-from .lattice import expected_degree, node_count
+from .lattice import expected_degree, is_integral, node_count
 from .metrics import compare as compare_curves
 from .percolation import girko_conditions
 
@@ -35,13 +35,6 @@ EXIT_CONFIG = 1
 EXIT_SIZE = 2
 EXIT_SOLVER = 3
 EXIT_ORACLE = 4
-
-
-def _is_int(value) -> bool:
-    """An int or an integral float such as 1e2, but not a bool."""
-    if isinstance(value, float):
-        return value.is_integer()
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -62,7 +55,7 @@ def _parse_dims(value) -> tuple[int, ...]:
     """A comma-separated string such as "30,50", or a JSON list of integers."""
     if isinstance(value, str):
         return _split("dims", value, int)
-    if isinstance(value, list) and all(_is_int(v) for v in value):
+    if isinstance(value, list) and all(is_integral(v) for v in value):
         return tuple(int(v) for v in value)
     raise ValueError(f"dims must be a list of integers, got {value!r}")
 
@@ -77,13 +70,13 @@ def _parse_probs(value) -> tuple[float, ...]:
 
 
 def _parse_int(name: str, value) -> int:
-    if not _is_int(value):
+    if not is_integral(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _parse_seed(value) -> int:
-    if not (_is_int(value) and value >= 0):
+    if not (is_integral(value) and value >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {value!r}")
     return int(value)
 

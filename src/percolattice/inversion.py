@@ -29,8 +29,8 @@ class SpectralCurve:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         object.__setattr__(self, "grid", grid)
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly ascending")
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            raise ValueError("grid must be finite and strictly ascending")
         if self.cdf is not None:
             cdf = np.asarray(self.cdf, dtype=float)
             object.__setattr__(self, "cdf", cdf)
@@ -47,10 +47,18 @@ class SpectralCurve:
                 raise ValueError("density must be nonnegative")
 
 
+def grid_spacing(grid) -> float:
+    """Median spacing of a grid; bit-equal to float(np.median(np.diff(grid)))."""
+    # np.median's arithmetic, on a sorted copy (np.median itself imports
+    # numpy.ma): the mean of the middle one or two values, or the NaN sorted last
+    d = np.sort(np.diff(np.asarray(grid, dtype=float)))
+    mid = d[-1:] if np.isnan(d[-1:]).any() else d[(d.size - 1) // 2 : d.size // 2 + 1]
+    return float(mid.mean())
+
+
 def default_epsilon(grid: np.ndarray) -> float:
     """Resolution-matched smoothing width: twice the grid spacing."""
-    grid = np.asarray(grid, dtype=float)
-    return 2.0 * float(np.median(np.diff(grid)))
+    return 2.0 * grid_spacing(grid)
 
 
 def density_curve(stieltjes, grid, epsilon: float) -> SpectralCurve:
@@ -81,7 +89,7 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
         # between grid points when epsilon is far below the spacing
         raise ValueError(
             f"CDF reaches only {cdf[-1]:.4f} at the right grid edge; widen the "
-            f"grid, or choose epsilon near the grid spacing {np.median(np.diff(x)):.3g}"
+            f"grid, or choose epsilon near the grid spacing {grid_spacing(x):.3g}"
         )
     return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density)
 

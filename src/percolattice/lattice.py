@@ -35,7 +35,7 @@ def check_size(what: str, size: int, limit: int, name: str = "N") -> None:
         raise SizeLimitError(f"{what} refused for {name}={size} > {limit}")
 
 
-def _is_size(m) -> bool:
+def is_integral(m) -> bool:
     """An integer, numpy's included, or an integral float such as 4.0; not a bool."""
     if isinstance(m, bool) or not isinstance(m, numbers.Real):
         return False
@@ -51,22 +51,21 @@ class LatticeSpec:
 
     def __post_init__(self):
         dims, probs = tuple(self.dims), tuple(self.probs)
-        if not all(_is_size(m) for m in dims):
+        if not all(is_integral(m) for m in dims):
             raise ValueError(f"every dimension size must be an integer, got {dims}")
         if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in probs):
             raise ValueError(f"every link probability must be a real number, got {probs}")
         object.__setattr__(self, "dims", tuple(int(m) for m in dims))
-        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
         if len(self.dims) < 1:
             raise ValueError("lattice needs at least one dimension")
-        if len(self.dims) != len(self.probs):
-            raise ValueError(
-                f"dims/probs length mismatch: {len(self.dims)} vs {len(self.probs)}"
-            )
+        if len(self.dims) != len(probs):
+            raise ValueError(f"dims/probs length mismatch: {len(self.dims)} vs {len(probs)}")
         if any(m < 2 for m in self.dims):
             raise ValueError(f"every dimension size must be >= 2, got {self.dims}")
-        if any(not (0.0 < p <= 1.0) for p in self.probs):
-            raise ValueError(f"every link probability must be in (0, 1], got {self.probs}")
+        # on the raw values: float() of an integer beyond the float range overflows
+        if any(not (0 < p <= 1) for p in probs):
+            raise ValueError(f"every link probability must be in (0, 1], got {probs}")
+        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
         n = 1
         for m in self.dims:
             n *= m
@@ -151,15 +150,20 @@ def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
     return np.column_stack([i[order], j[order], dd[order]])
 
 
-def link_matrix(spec: LatticeSpec, per_dim) -> np.ndarray:
-    """Dense N x N matrix holding per_dim[d] at both entries of every dimension-d link."""
+def _write_links(spec: LatticeSpec, edges: np.ndarray, per_dim) -> np.ndarray:
+    """Dense N x N matrix holding per_dim[d] at both entries of every (i, j, d) row."""
     n = node_count(spec)
-    check_size("dense adjacency", n, DENSE_NODE_LIMIT)  # before any edge is listed
-    edges = supergraph_edges(spec)
     i, j = edges[:, 0] - 1, edges[:, 1] - 1
     a = np.zeros((n, n))
     a[i, j] = a[j, i] = np.asarray(per_dim, dtype=float)[edges[:, 2]]
     return a
+
+
+def link_matrix(spec: LatticeSpec, per_dim) -> np.ndarray:
+    """Dense N x N matrix holding per_dim[d] at both entries of every dimension-d link."""
+    # before any edge is listed
+    check_size("dense adjacency", node_count(spec), DENSE_NODE_LIMIT)
+    return _write_links(spec, supergraph_edges(spec), per_dim)
 
 
 def lattice_adjacency(spec: LatticeSpec) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inversion import SpectralCurve
+from .inversion import SpectralCurve, grid_spacing
 
 
 @dataclass(frozen=True)
@@ -24,24 +24,22 @@ def _step_eval(grid: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _shared_grid(a: SpectralCurve, b: SpectralCurve) -> np.ndarray:
+    """Every grid point of either curve inside both spans."""
     if a.cdf is None or b.cdf is None:
         raise ValueError("both curves must carry CDF values")
     lo = max(a.grid[0], b.grid[0])
     hi = min(a.grid[-1], b.grid[-1])
     if lo > hi:
         raise ValueError("curve grids have disjoint spans")
-    if a.grid.shape == b.grid.shape and np.allclose(a.grid, b.grid):
-        return a.grid
-    pts = np.union1d(a.grid, b.grid)
-    return pts[(pts >= lo) & (pts <= hi)]
+    # np.union1d's points, without the numpy.ma import of its np.unique
+    pts = np.sort(np.concatenate((a.grid, b.grid)))
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    return pts[np.diff(pts, prepend=-np.inf) > 0]
 
 
 def kolmogorov_distance(a: SpectralCurve, b: SpectralCurve) -> float:
     """sup over the shared grid of |F_a - F_b| (step interpolation)."""
-    grid = _shared_grid(a, b)
-    fa = _step_eval(a.grid, a.cdf, grid)
-    fb = _step_eval(b.grid, b.cdf, grid)
-    return float(np.abs(fa - fb).max())
+    return compare(a, b).kolmogorov
 
 
 def _levy_feasible(a: SpectralCurve, b: SpectralCurve, grid: np.ndarray, eps: float) -> bool:
@@ -58,26 +56,22 @@ def levy_distance(a: SpectralCurve, b: SpectralCurve) -> float:
     spacing; eps = Kolmogorov distance is always feasible, so the result
     never exceeds it.
     """
-    grid = _shared_grid(a, b)
-    hi = kolmogorov_distance(a, b)
-    if hi == 0.0:
-        return 0.0
-    spacing = float(np.median(np.diff(grid))) if len(grid) > 1 else hi
-    tol = max(spacing / 4.0, 1e-15)
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _levy_feasible(a, b, grid, mid) and _levy_feasible(b, a, grid, mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    return compare(a, b).levy
 
 
 def compare(a: SpectralCurve, b: SpectralCurve) -> DistanceReport:
+    """Both distances on one shared grid; the Levy bisection starts at eps = Kolmogorov."""
     grid = _shared_grid(a, b)
-    kol = kolmogorov_distance(a, b)
-    lev = levy_distance(a, b)
+    fa, fb = _step_eval(a.grid, a.cdf, grid), _step_eval(b.grid, b.cdf, grid)
+    kol = float(np.abs(fa - fb).max())
+    lo, lev = 0.0, kol
+    tol = max((grid_spacing(grid) if len(grid) > 1 else kol) / 4.0, 1e-15)
+    while lev > 0.0 and lev - lo > tol:
+        mid = 0.5 * (lo + lev)
+        if _levy_feasible(a, b, grid, mid) and _levy_feasible(b, a, grid, mid):
+            lev = mid
+        else:
+            lo = mid
     if lev > kol + 1e-12:
         raise RuntimeError(f"levy {lev} exceeds kolmogorov {kol}")
     return DistanceReport(kolmogorov=kol, levy=lev, grid_points=len(grid))

@@ -15,6 +15,7 @@ import numpy as np
 from .lattice import (
     DENSE_NODE_LIMIT,
     LatticeSpec,
+    _write_links,
     check_size,
     expected_degree,
     node_count,
@@ -28,7 +29,7 @@ class PercolationSample:
     """One sampled percolated graph: retained edges of the supergraph."""
 
     spec: LatticeSpec
-    edges: np.ndarray  # (E, 2) int64, i < j, 1-based, lexicographically sorted
+    edges: np.ndarray  # kept rows (i, j, dim) of supergraph_edges(spec), in its order
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,13 @@ def sample(spec: LatticeSpec, seed: int) -> PercolationSample:
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     u = rng.random(edges.shape[0])
     p = np.array(spec.probs)[edges[:, 2]]
-    kept = edges[u < p, :2]
-    return PercolationSample(spec=spec, edges=kept)
+    return PercolationSample(spec=spec, edges=edges[u < p])
 
 
 def adjacency(sample: PercolationSample) -> np.ndarray:
     """Dense 0/1 adjacency of the sampled graph."""
-    n = node_count(sample.spec)
-    check_size("dense adjacency", n, DENSE_NODE_LIMIT)
-    a = np.zeros((n, n))
-    i = sample.edges[:, 0] - 1
-    j = sample.edges[:, 1] - 1
-    a[i, j] = 1.0
-    a[j, i] = 1.0
-    return a
+    check_size("dense adjacency", node_count(sample.spec), DENSE_NODE_LIMIT)
+    return _write_links(sample.spec, sample.edges, [1.0] * sample.spec.ndim)
 
 
 def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:

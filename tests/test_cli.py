@@ -435,20 +435,50 @@ class TestConditions:
         assert float(values["max_entry_bound"]) == pytest.approx(1 / 24.9)
 
 
-def test_thread_count_does_not_change_output(tmp_path):
+def _simulate_at_threads(tmp_path, *args) -> list[bytes]:
+    """The simulate CSV bytes at 1 and at 2 BLAS threads."""
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.csv"
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         r = subprocess.run(
-            [sys.executable, "-m", "percolattice.cli", "simulate",
-             "--dims", "4,5", "--probs", "0.6,0.7", "--trials", "4",
-             "--seed", "11", "--grid-points", "300", "--output", str(out)],
+            [sys.executable, "-m", "percolattice.cli", "simulate", *args,
+             "--output", str(out)],
             env=env, capture_output=True, text=True,
         )
         assert r.returncode == 0, r.stderr
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    return outs
+
+
+def test_thread_count_does_not_change_output(tmp_path):
+    one, two = _simulate_at_threads(tmp_path, "--dims", "4,5", "--probs", "0.6,0.7",
+                                    "--trials", "4", "--seed", "11", "--grid-points", "300")
+    assert one == two
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable cores")
+@pytest.mark.xfail(strict=True, reason="the N=1500 eigensolve rounds differently at 2 "
+                   "BLAS threads (ROADMAP item 1)")
+def test_thread_count_does_not_change_paper_size_output(tmp_path):
+    # at N=20 OpenBLAS stays on one thread whatever it is allowed, so only a
+    # paper-size run shows whether the bytes depend on the thread count
+    one, two = _simulate_at_threads(tmp_path, "--dims", "30,50", "--probs", "0.7,0.5",
+                                    "--trials", "2", "--seed", "42")
+    assert one == two
+
+
+def test_compare_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median and np.union1d import numpy.ma; the CLI calls neither
+    code = ("import sys; from percolattice.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)")
+    r = subprocess.run(
+        [sys.executable, "-c", code, "compare", "--dims", "4,5", "--probs", "0.6,0.7",
+         "--trials", "2", "--grid-points", "200", "--output", str(tmp_path / "c.csv")],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_unloaded():

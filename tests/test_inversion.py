@@ -9,6 +9,7 @@ from percolattice.inversion import (
     cdf_from_density,
     default_epsilon,
     density_curve,
+    grid_spacing,
 )
 from percolattice.lattice import LatticeSpec, branch_table, expected_spectrum, node_count
 
@@ -62,7 +63,8 @@ class TestDensityCurve:
         # error keeps its type through density_curve (CLI exit 3)
         monkeypatch.setattr(canonical, "_MAX_SWEEPS", 1)
         prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
-        with pytest.raises(SolverError, match=r"z=\(0\.25\+0\.01j\)") as info:
+        with pytest.raises(SolverError, match=r"z=\(0\.25\+0\.01j\) after \d+ sweeps "
+                           r"\(residual \S+ > tol 1\.0e-12\)") as info:
             density_curve(
                 lambda z: solve_alpha(prob, z).alpha_principal, np.array([0.25]), 0.01
             )
@@ -176,6 +178,13 @@ class TestSpectralCurve:
         with pytest.raises(ValueError):
             SpectralCurve(grid=np.array([0.0, -1.0]))
 
+    # [0, nan, 1] used to pass the ascending check: nan <= 0 is False
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [np.nan, 0.0], [0.0, 1.0, np.inf],
+                                      [-np.inf, 0.0, 1.0], [np.nan]])
+    def test_rejects_non_finite_grid(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralCurve(grid=grid)
+
     def test_rejects_decreasing_cdf(self):
         with pytest.raises(ValueError):
             SpectralCurve(grid=np.array([0.0, 1.0]), cdf=np.array([0.5, 0.2]))
@@ -183,3 +192,22 @@ class TestSpectralCurve:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
             SpectralCurve(grid=np.array([0.0, 1.0]), density=np.array([0.1, -0.1]))
+
+
+class TestGridSpacing:
+    @pytest.mark.parametrize("grid", [
+        np.linspace(-1.3, 2.1, 2000),                                  # linspace, odd diffs
+        np.linspace(-1.3, 2.1, 2001),                                  # even diffs
+        [0.0, 0.1, 0.35, 0.36, 1.0, 2.5],                              # odd, non-uniform
+        [0.0, 0.1, 0.35, 0.36, 1.0, 2.5, 2.6],                         # even, non-uniform
+        np.cumsum(np.random.default_rng(3).exponential(size=1000)),    # odd, random
+        np.cumsum(np.random.default_rng(4).exponential(size=1001)),    # even, random
+        [0.0, 1.0],                                                    # one difference
+        [3.0, 1.0, 2.0, 0.5],                                          # unsorted
+        [0.0, np.nan, 1.0, 2.0],                                       # NaN, sorted last
+        [np.nan, 0.0, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, 4.0, np.nan, 5.0, 7.0],
+    ])
+    def test_bit_equal_to_numpy_median(self, grid):
+        expected = float(np.median(np.diff(np.asarray(grid, dtype=float))))
+        assert np.float64(grid_spacing(grid)).tobytes() == np.float64(expected).tobytes()

@@ -130,6 +130,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LatticeSpec((3, 3), (0.5, 1.5))
 
+    @pytest.mark.parametrize("p", [10**400, -10**400, 2, 0], ids=["1e400", "-1e400", "2", "0"])
+    def test_rejects_integer_probability_out_of_range(self, p):
+        # 10**400 used to end in an OverflowError from float(p)
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            LatticeSpec((3,), (p,))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LatticeSpec((3, 3), (0.5,))

@@ -50,6 +50,18 @@ class TestKolmogorov:
         assert kolmogorov_distance(ramp(ga), ramp(gb)) <= 0.01
 
 
+class TestSharedGrid:
+    @pytest.mark.parametrize("shift", [1e-9, 1e-3])
+    def test_near_equal_grids_are_merged(self, shift):
+        # at 1e-9 the grids used to pass np.allclose and b was read on a's grid,
+        # where the two steps coincide: KS = Levy = 0 instead of 1
+        grid = np.array([0.0, 1.0, 2.0])
+        a = SpectralCurve(grid=grid, cdf=[0.0, 0.0, 1.0])
+        b = SpectralCurve(grid=grid + shift, cdf=[0.0, 1.0, 1.0])
+        rep = compare(a, b)
+        assert (rep.kolmogorov, rep.levy, rep.grid_points) == (1.0, 1.0, 4)
+
+
 class TestLevy:
     def test_identical_curves(self):
         a = step_curve(0.2, FINE)

@@ -30,7 +30,7 @@ class TestSampling:
     def test_all_probabilities_one_keeps_every_link(self):
         spec = LatticeSpec((3, 4), (1.0, 1.0))
         s = sample(spec, 0)
-        assert np.array_equal(s.edges, supergraph_edges(spec)[:, :2])
+        assert np.array_equal(s.edges, supergraph_edges(spec))
 
     def test_vanishing_probability_keeps_nothing(self):
         spec = LatticeSpec((3, 4), (1e-12, 1e-12))
@@ -45,10 +45,14 @@ class TestSampling:
         assert not np.array_equal(a.edges, c.edges)
 
     def test_edges_are_supergraph_links(self):
-        spec = LatticeSpec((3, 3), (0.6, 0.6))
-        s = sample(spec, 7)
-        allowed = set(map(tuple, supergraph_edges(spec)[:, :2]))
-        assert all(tuple(e) in allowed for e in s.edges)
+        # each kept row is a whole (i, j, dim) row of supergraph_edges, in its order
+        for spec in (LatticeSpec((3, 3), (0.6, 0.6)), LatticeSpec((4, 2, 3), (0.3, 0.9, 0.5))):
+            edges = supergraph_edges(spec)
+            position = {row: k for k, row in enumerate(map(tuple, edges.tolist()))}
+            s = sample(spec, 7)
+            assert s.edges.shape == (len(s.edges), 3) and s.edges.dtype == edges.dtype
+            kept = [position[row] for row in map(tuple, s.edges.tolist())]
+            assert 0 < len(kept) < len(edges) and np.all(np.diff(kept) > 0)
 
     def test_mean_edge_count(self):
         # binomial mean over dims: 1500*29/2*0.7 + 1500*49/2*0.5 = 33600
@@ -64,11 +68,7 @@ class TestSampling:
         per_dim_total = np.array([(edges[:, 2] == d).sum() for d in (0, 1)])
         kept = np.zeros(2)
         for t in range(1000):
-            s = sample(spec, trial_seed(99, t))
-            key = set(map(tuple, s.edges))
-            for i, j, d in edges:
-                if (i, j) in key:
-                    kept[d] += 1
+            kept += np.bincount(sample(spec, trial_seed(99, t)).edges[:, 2], minlength=2)
         for d, p in enumerate(spec.probs):
             rate = kept[d] / (per_dim_total[d] * 1000)
             se = np.sqrt(p * (1 - p) / (per_dim_total[d] * 1000))

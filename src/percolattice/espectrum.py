@@ -8,7 +8,7 @@ import numpy as np
 
 from .inversion import SpectralCurve
 from .lattice import EIGENSOLVE_LIMIT, check_size, expected_degree, node_count
-from .percolation import PercolationSample, adjacency
+from .percolation import adjacency
 
 # Symmetry tolerance for the dense eigensolve path.
 SYMMETRY_TOL = 1e-12
@@ -55,21 +55,19 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
 
 
-def row_normalized_eigenvalues(sample: PercolationSample) -> np.ndarray:
-    """Spectrum of Delta^{-1} A via the symmetric similarity D^{-1/2} A D^{-1/2}.
+def row_normalized_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Spectrum of Delta^{-1} A for a 0/1 adjacency A, via D^{-1/2} A D^{-1/2}.
 
     Isolated nodes contribute exact zeros.
     """
-    a = adjacency(sample)
+    a = np.asarray(matrix, dtype=float)
+    if a.shape != (len(a), len(a)):
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     deg = a.sum(axis=1)
     live = deg > 0
-    n = a.shape[0]
-    vals = np.zeros(n)
-    if live.any():
-        s = 1.0 / np.sqrt(deg[live])
-        sub = a[np.ix_(live, live)] * s[:, None] * s[None, :]
-        vals[: live.sum()] = eigenvalues(sub)
-    return np.sort(vals)
+    s = 1.0 / np.sqrt(deg[live])
+    sub = a[np.ix_(live, live)] * s[:, None] * s[None, :]
+    return np.sort(np.concatenate([eigenvalues(sub), np.zeros(len(a) - len(sub))]))
 
 
 def pool(spectra) -> EmpiricalSpectrum:
@@ -113,6 +111,8 @@ def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: flo
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not epsilon**2 > 0:  # else a grid point on an eigenvalue divides by zero
+        raise ValueError(f"epsilon={epsilon:.3g} is too small: epsilon^2 underflows to 0")
     grid = np.asarray(grid, dtype=float)
     vals = spectrum.eigenvalues
     dens = np.zeros_like(grid)
@@ -143,25 +143,30 @@ def trial_seed(seed: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def monte_carlo_spectrum(spec, seed: int, trials: int, normalized: bool = False,
-                         scale: float = 1.0) -> EmpiricalSpectrum:
-    """Pool spectra of `trials` independent percolations.
-
-    `normalized` switches from W = A/gamma to Delta^{-1} A; `scale`
-    multiplies every eigenvalue (used for the sqrt(gamma) comparison mode).
-    """
+def trial_samples(spec, seed: int, trials: int):
+    """Each trial's percolation sample(spec, trial_seed(seed, t)), lazily in trial order.
+    The trial count and the dense-eigensolve size are checked before the first draw."""
     # looked up at call time, so a wrapper on percolation.sample sees every draw
     from .percolation import sample as draw
-
     check_size("dense eigensolve", node_count(spec), EIGENSOLVE_LIMIT)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spectra = []
-    for t in range(trials):
-        s = draw(spec, trial_seed(seed, t))
-        if normalized:
-            vals = row_normalized_eigenvalues(s)
-        else:
-            vals = eigenvalues(adjacency(s)) / expected_degree(spec)
-        spectra.append(vals * scale)
-    return pool(spectra)
+    return (draw(spec, trial_seed(seed, t)) for t in range(trials))
+
+
+def monte_carlo_spectrum(spec, seed: int, trials: int) -> EmpiricalSpectrum:
+    """Pool the spectra of W = A/gamma over `trials` independent percolations."""
+    gamma = expected_degree(spec)
+    return pool([eigenvalues(adjacency(s)) / gamma for s in trial_samples(spec, seed, trials)])
+
+
+def theorem3_spectra(spec, seed: int, trials: int):
+    """Theorem 3's pair, the sqrt(gamma)-scaled pools of A/gamma and Delta^{-1} A.
+    A trial's two spectra come from one sample and one 0/1 adjacency."""
+    gamma = expected_degree(spec)
+    scale = np.sqrt(gamma)
+    scaled, normalized = [], []
+    for a in map(adjacency, trial_samples(spec, seed, trials)):
+        scaled.append(eigenvalues(a) / gamma * scale)
+        normalized.append(row_normalized_eigenvalues(a) * scale)
+    return pool(scaled), pool(normalized)

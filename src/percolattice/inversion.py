@@ -36,15 +36,16 @@ class SpectralCurve:
             object.__setattr__(self, "cdf", cdf)
             if cdf.shape != grid.shape:
                 raise ValueError("cdf length must match grid")
-            if np.any(np.diff(cdf) < -1e-9) or cdf.min() < -1e-9 or cdf.max() > 1 + 1e-9:
+            in_range = np.all((cdf >= -1e-9) & (cdf <= 1 + 1e-9))  # False at NaN
+            if not in_range or np.any(np.diff(cdf) < -1e-9):
                 raise ValueError("cdf must be nondecreasing within [0, 1]")
         if self.density is not None:
             dens = np.asarray(self.density, dtype=float)
             object.__setattr__(self, "density", dens)
             if dens.shape != grid.shape:
                 raise ValueError("density length must match grid")
-            if dens.min() < -_NEGATIVE_DENSITY_TOL:
-                raise ValueError("density must be nonnegative")
+            if not (np.all(np.isfinite(dens)) and dens.min() >= -_NEGATIVE_DENSITY_TOL):
+                raise ValueError("density must be finite and nonnegative")
 
 
 def grid_spacing(grid) -> float:

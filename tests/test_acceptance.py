@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 report.  The Monte Carlo criteria take a few minutes at full scale.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,14 @@ from percolattice.canonical import (
 )
 from percolattice.espectrum import (
     EmpiricalSpectrum,
+    eigenvalues,
     empirical_stieltjes,
     esd_cdf,
     monte_carlo_spectrum,
+    pool,
     smoothed_density,
+    theorem3_spectra,
+    trial_samples,
 )
 from percolattice.inversion import (
     SpectralCurve,
@@ -37,7 +44,13 @@ from percolattice.lattice import (
     node_count,
 )
 from percolattice.metrics import kolmogorov_distance, levy_distance
-from percolattice.percolation import girko_conditions
+from percolattice.percolation import adjacency, girko_conditions
+
+# (dims, probs, seed) of the paper's two figures, 50 trials each
+FIGURES = {
+    "1a": ((30, 50), (0.7, 0.5), 42),
+    "1b": ((10, 10, 20), (0.8, 0.7, 0.6), 43),
+}
 
 
 def report(number, name, passed, detail=""):
@@ -94,34 +107,49 @@ def lobe_distances(problem, det, emp):
     return main, minor
 
 
-def figure_reproduction(number, name, dims, probs, seed):
-    spec = LatticeSpec(dims, probs)
+@pytest.fixture(scope="module")
+def figure_trials():
+    """figure -> (spec, per-trial eigenvalues of W = A/gamma, their pool).
+
+    Each figure's 50 trials are sampled and solved once per module, on first
+    use, so every criterion that reads them shares the eigensolves; the pool
+    is byte-equal to monte_carlo_spectrum's.
+    """
+    @functools.cache
+    def trials(figure):
+        dims, probs, seed = FIGURES[figure]
+        spec = LatticeSpec(dims, probs)
+        gamma = expected_degree(spec)
+        per_trial = [eigenvalues(adjacency(s)) / gamma for s in trial_samples(spec, seed, 50)]
+        return spec, per_trial, pool(per_trial)
+
+    return trials
+
+
+def figure_reproduction(number, name, trials):
+    spec, _, pooled = trials
     prob = build_problem(spec)
     grid = auto_grid(prob, 2000, 0.1)
     eps = default_epsilon(grid)
     det = deterministic_cdf(prob, grid, eps)
-    pooled = monte_carlo_spectrum(spec, seed, 50)
     emp = cdf_from_density(smoothed_density(pooled, grid, eps))
     main, minor = lobe_distances(prob, det, emp)
     report(number, name, main <= 0.05,
            f"main-lobe KS = {main:.4f}, minor-lobe KS = {minor:.4f} (reported only)")
 
 
-def test_criterion_3_figure_1a():
-    figure_reproduction(3, "figure 1a reproduction", (30, 50), (0.7, 0.5), seed=42)
+def test_criterion_3_figure_1a(figure_trials):
+    figure_reproduction(3, "figure 1a reproduction", figure_trials("1a"))
 
 
-def test_criterion_4_figure_1b():
-    figure_reproduction(4, "figure 1b reproduction", (10, 10, 20), (0.8, 0.7, 0.6),
-                        seed=43)
+def test_criterion_4_figure_1b(figure_trials):
+    figure_reproduction(4, "figure 1b reproduction", figure_trials("1b"))
 
 
 def test_criterion_5_row_normalization_trend():
     def levy_pair(dims, seed):
-        spec = LatticeSpec(dims, (0.6, 0.6))
-        scale = np.sqrt(expected_degree(spec))
-        scaled = monte_carlo_spectrum(spec, seed, 20, normalized=False, scale=scale)
-        norm = monte_carlo_spectrum(spec, seed + 1, 20, normalized=True, scale=scale)
+        # both spectra of a trial from one percolation, as compare --normalized
+        scaled, norm = theorem3_spectra(LatticeSpec(dims, (0.6, 0.6)), seed, 20)
         lo = min(scaled.eigenvalues.min(), norm.eigenvalues.min()) - 0.1
         hi = max(scaled.eigenvalues.max(), norm.eigenvalues.max()) + 0.1
         grid = np.linspace(lo, hi, 2000)
@@ -241,3 +269,45 @@ def test_criterion_9_girko_condition_values():
         worst = max(worst, abs(r.variance_row_sum - hand))
     report(9, "Girko condition values", ok and worst <= 1e-12,
            f"variance formula worst |diff| = {worst:.2e}")
+
+
+def perron_location(problem):
+    """The real root z* above the bulk of b - z - sigma^2 Re alpha_-(z + 1e-10i).
+
+    b is the top atom (weight 1/N) and alpha_- the transform of the problem
+    without it: the rank-one outlier equation (Benaych-Georges and
+    Nadakuditi, Adv. Math. 227, 2011). The left side decreases above the
+    bulk, so z* is found by bisection.
+    """
+    bulk = dataclasses.replace(problem, atoms=problem.atoms[:-1],
+                               weights=problem.weights[:-1])
+    top = float(problem.atoms[-1])
+
+    def excess(x):
+        alpha = solve_alpha(bulk, x + 1e-10j).alpha_principal
+        return top - x - problem.variance_sum * alpha.real
+
+    lo, hi = top, top + 1.0
+    assert excess(lo) > 0 > excess(hi)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_criterion_10_perron_outlier(figure_trials):
+    # B's top atom, weight 1/N, is invisible to the KS criteria; each trial's
+    # top eigenvalue tests its predicted location. Bound: two-sided normal
+    # quantile at family alpha = 0.001, Bonferroni over the two figures.
+    bound = 3.48
+    ok, details = True, []
+    for figure in FIGURES:
+        spec, per_trial, _ = figure_trials(figure)
+        top = np.array([vals[-1] for vals in per_trial])
+        zstar = perron_location(build_problem(spec))
+        se = top.std(ddof=1) / np.sqrt(len(top))
+        z = (top.mean() - zstar) / se
+        ok = ok and abs(z) <= bound
+        details.append(f"fig {figure}: z* = {zstar:.6f}, observed {top.mean():.6f} "
+                       f"+- {se:.1e} (z = {z:+.2f})")
+    report(10, "Perron outlier", ok, f"{'; '.join(details)}; |z| <= {bound}")

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from percolattice import cli, lattice, percolation
+from percolattice import cli, espectrum, lattice, percolation
 from percolattice.canonical import SolverError
 from percolattice.cli import main
 
@@ -161,6 +162,20 @@ class TestConfigHandling:
                                 "choose a smaller margin\n")
         assert not out.exists()
 
+    def test_underflowing_epsilon_is_config_error(self, tmp_path, capsys):
+        # eps^2 == 0: the grid points on the eigenvalues -1 and 1 divided by
+        # zero, with a numpy warning, and the CSV held inf at both
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--dims", "2,2", "--probs", "1,1", "--trials", "1",
+                         "--grid-points", "17", "--margin", "0", "--epsilon", "1e-170",
+                         "--output", str(out)]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "config error: epsilon=1e-170 is too small: epsilon^2 underflows to 0\n")
+        assert not out.exists()
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         # a directory used to end in an IsADirectoryError traceback
         assert main(["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
@@ -247,6 +262,44 @@ class TestSimulate:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestUnusedSettings:
+    """The grid size and trial count are range-checked only where they are used."""
+
+    # both used to exit 1: grid_points and trials were range-checked for every command
+    @pytest.mark.parametrize("argv, ignored", [
+        (["conditions", "--dims", "30,50", "--probs", "0.7,0.5"], ["--grid-points", "5"]),
+        (["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
+         ["--trials", "0"]),
+    ])
+    def test_ignored_setting_is_not_checked(self, capsys, argv, ignored):
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ignored) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("solve", ["--grid-points", "5"], "grid needs at least 16 points"),
+        ("simulate", ["--grid-points", "5"], "grid needs at least 16 points"),
+        ("compare", ["--grid-points", "5"], "grid needs at least 16 points"),
+        ("simulate", ["--trials", "0"], "trials must be >= 1"),
+        ("compare", ["--trials", "0"], "trials must be >= 1"),
+        ("compare", ["--trials", "-1", "--normalized"], "trials must be >= 1"),
+    ])
+    def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                     command, flags, message):
+        def no_sampling(spec, seed):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(percolation, "sample", no_sampling)
+        out = tmp_path / "o.csv"
+        assert main([command, "--dims", "3,4", "--probs", "0.7,0.5", *flags,
+                     "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestRightEdgeMass:
@@ -400,6 +453,24 @@ class TestCompare:
                      "--trials", "3", "--seed", "2", "--grid-points", "500",
                      "--normalized", "--output", str(out)]) == 0
         assert "levy=" in capsys.readouterr().out
+
+    def test_normalized_draws_each_trial_once(self, tmp_path, monkeypatch):
+        # a trial's reference and row-normalized spectra share one sample and
+        # one adjacency; each used to be drawn and built twice
+        calls = {"sample": 0, "adjacency": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(percolation, "sample", counted("sample", percolation.sample))
+        monkeypatch.setattr(espectrum, "adjacency", counted("adjacency", espectrum.adjacency))
+        assert main(["compare", "--dims", "6,6", "--probs", "0.6,0.6", "--trials", "3",
+                     "--seed", "2", "--grid-points", "500", "--normalized",
+                     "--output", str(tmp_path / "cmp.csv")]) == 0
+        assert calls == {"sample": 3, "adjacency": 3}
 
 
 class TestOracle:

@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percolattice import percolation
 from percolattice.espectrum import (
     EmpiricalSpectrum,
     eigenvalues,
     empirical_stieltjes,
     esd_cdf,
+    monte_carlo_spectrum,
     pool,
     row_normalized_eigenvalues,
     smoothed_density,
+    theorem3_spectra,
+    trial_samples,
+    trial_seed,
 )
 from percolattice.lattice import (
     LatticeSpec,
@@ -202,6 +207,14 @@ class TestSmoothedDensity:
         with pytest.raises(ValueError, match="positive and finite"):
             smoothed_density(EmpiricalSpectrum(np.array([0.0])), np.array([0.0]), eps)
 
+    def test_rejects_underflowing_epsilon(self):
+        # eps^2 == 0 made a grid point on an eigenvalue divide by zero: a numpy
+        # warning and an inf density
+        one, grid = EmpiricalSpectrum(np.array([0.0])), np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match=r"epsilon=1e-170 is too small: epsilon\^2 under"):
+            smoothed_density(one, grid, 1e-170)
+        assert np.isfinite(smoothed_density(one, grid, 1e-150).density).all()
+
     def test_cauchy_peak(self):
         s = EmpiricalSpectrum(np.array([0.0]))
         eps = 0.05
@@ -241,5 +254,57 @@ class TestSpectralRanges:
     def test_row_normalized_range(self):
         spec = LatticeSpec((4, 5), (0.4, 0.4))
         for seed in range(5):
-            vals = row_normalized_eigenvalues(sample(spec, seed))
+            vals = row_normalized_eigenvalues(adjacency(sample(spec, seed)))
             assert vals.min() >= -1 - 1e-12 and vals.max() <= 1 + 1e-12
+
+    def test_row_normalized_isolated_nodes_are_zeros(self):
+        assert np.array_equal(row_normalized_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+        path = np.zeros((3, 3))
+        path[0, 1] = path[1, 0] = 1.0
+        assert np.allclose(row_normalized_eigenvalues(path), [-1, 0, 1], atol=1e-15)
+
+    def test_row_normalized_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
+            row_normalized_eigenvalues(np.ones((3, 4)))
+
+
+class TestTrialLoop:
+    SPEC = LatticeSpec((4, 5), (0.7, 0.5))
+
+    def test_draws_each_trial_seed_in_order(self):
+        drawn = list(trial_samples(self.SPEC, 5, 3))
+        assert len(drawn) == 3
+        for t, s in enumerate(drawn):
+            assert np.array_equal(s.edges, sample(self.SPEC, trial_seed(5, t)).edges)
+
+    @pytest.mark.parametrize("spec, trials, error, message", [
+        (SPEC, 0, ValueError, "trials must be >= 1"),
+        (SPEC, -2, ValueError, "trials must be >= 1"),
+        (LatticeSpec((80, 80), (0.5, 0.5)), 1, SizeLimitError,
+         "dense eigensolve refused for N=6400 > 4000"),
+    ])
+    def test_checks_before_the_first_draw(self, monkeypatch, spec, trials, error, message):
+        def no_sampling(spec, seed):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(percolation, "sample", no_sampling)
+        with pytest.raises(error, match=message):
+            trial_samples(spec, 0, trials)
+
+    def test_monte_carlo_pool_is_the_pool_of_trials(self):
+        # the per-trial eigenvalues that tests keep pool to monte_carlo_spectrum's bytes
+        gamma = expected_degree(self.SPEC)
+        per_trial = [eigenvalues(adjacency(s)) / gamma for s in trial_samples(self.SPEC, 8, 4)]
+        assert np.array_equal(pool(per_trial).eigenvalues,
+                              monte_carlo_spectrum(self.SPEC, 8, 4).eigenvalues)
+
+    def test_theorem3_pair_matches_the_separate_pools(self):
+        spec = LatticeSpec((5, 6), (0.3, 0.2))  # sparse enough for isolated nodes
+        scale = np.sqrt(expected_degree(spec))
+        ref, normalized = theorem3_spectra(spec, 9, 4)
+        assert np.array_equal(ref.eigenvalues,
+                              monte_carlo_spectrum(spec, 9, 4).eigenvalues * scale)
+        per_trial = [row_normalized_eigenvalues(adjacency(s)) * scale
+                     for s in trial_samples(spec, 9, 4)]
+        assert np.array_equal(normalized.eigenvalues, pool(per_trial).eigenvalues)
+        assert np.abs(normalized.eigenvalues).max() <= scale * (1 + 1e-12)

@@ -193,6 +193,20 @@ class TestSpectralCurve:
         with pytest.raises(ValueError):
             SpectralCurve(grid=np.array([0.0, 1.0]), density=np.array([0.1, -0.1]))
 
+    # NaN passed every `<` / `>` check, so metrics.compare of such a curve
+    # with a finite one returned NaN distances instead of raising
+    @pytest.mark.parametrize("cdf", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0],
+                                     [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0]])
+    def test_rejects_non_finite_cdf(self, cdf):
+        with pytest.raises(ValueError, match="cdf must be nondecreasing within"):
+            SpectralCurve(grid=[0.0, 1.0, 2.0], cdf=cdf)
+
+    @pytest.mark.parametrize("density", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5],
+                                         [0.5, np.inf, 0.5], [0.5, 0.5, -np.inf]])
+    def test_rejects_non_finite_density(self, density):
+        with pytest.raises(ValueError, match="density must be finite and nonnegative"):
+            SpectralCurve(grid=[0.0, 1.0, 2.0], density=density)
+
 
 class TestGridSpacing:
     @pytest.mark.parametrize("grid", [

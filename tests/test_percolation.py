@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from percolattice.canonical import build_problem, variance_matrix
-from percolattice.espectrum import row_normalized_eigenvalues, trial_seed
+from percolattice.espectrum import row_normalized_eigenvalues, trial_samples
 from percolattice.lattice import (
     LatticeSpec,
     expected_degree,
@@ -57,7 +57,7 @@ class TestSampling:
     def test_mean_edge_count(self):
         # binomial mean over dims: 1500*29/2*0.7 + 1500*49/2*0.5 = 33600
         spec = LatticeSpec((30, 50), (0.7, 0.5))
-        counts = [len(sample(spec, trial_seed(123, t)).edges) for t in range(200)]
+        counts = [len(s.edges) for s in trial_samples(spec, 123, 200)]
         var = 1500 * 29 / 2 * 0.7 * 0.3 + 1500 * 49 / 2 * 0.5 * 0.5
         se = np.sqrt(var / 200)
         assert abs(np.mean(counts) - 33600) <= 3 * se
@@ -67,8 +67,8 @@ class TestSampling:
         edges = supergraph_edges(spec)
         per_dim_total = np.array([(edges[:, 2] == d).sum() for d in (0, 1)])
         kept = np.zeros(2)
-        for t in range(1000):
-            kept += np.bincount(sample(spec, trial_seed(99, t)).edges[:, 2], minlength=2)
+        for s in trial_samples(spec, 99, 1000):
+            kept += np.bincount(s.edges[:, 2], minlength=2)
         for d, p in enumerate(spec.probs):
             rate = kept[d] / (per_dim_total[d] * 1000)
             se = np.sqrt(p * (1 - p) / (per_dim_total[d] * 1000))
@@ -117,7 +117,7 @@ class TestMatrices:
         s = sample(LatticeSpec((4, 5), probs), seed)
         dense = np.linalg.eigvals(row_normalized_adjacency(s))
         assert np.abs(dense.imag).max() < 1e-10
-        got = row_normalized_eigenvalues(s)
+        got = row_normalized_eigenvalues(adjacency(s))
         assert np.abs(np.sort(dense.real) - got).max() < 1e-10
 
     def test_mean_scaled_adjacency_converges_to_expectation(self):
@@ -125,8 +125,8 @@ class TestMatrices:
         b = expected_matrix(spec)
         acc = np.zeros_like(b)
         trials = 500
-        for t in range(trials):
-            acc += scaled_adjacency(sample(spec, trial_seed(2024, t)))
+        for s in trial_samples(spec, 2024, trials):
+            acc += scaled_adjacency(s)
         acc /= trials
         se = np.sqrt(variance_matrix(spec) / trials)
         link = se > 0

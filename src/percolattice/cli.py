@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -24,7 +23,8 @@ from .canonical import (
     solve_alpha,
 )
 from .espectrum import monte_carlo_spectrum, smoothed_density, theorem3_spectra
-from .inversion import auto_grid, cdf_from_density, default_epsilon, density_curve
+from .inversion import auto_grid, cdf_from_density, check_epsilon, default_epsilon
+from .inversion import density_curve
 from .lattice import ORACLE_NODE_LIMIT, LatticeSpec, SizeLimitError, check_size
 from .lattice import expected_degree, is_integral, node_count
 from .metrics import compare as compare_curves
@@ -75,31 +75,30 @@ def _parse_int(name: str, value) -> int:
     return int(value)
 
 
+# The parsers check types only; a range is checked where the setting is
+# used, so a command does not reject a setting it ignores.
 def _parse_seed(value) -> int:
-    if not (is_integral(value) and value >= 0):
+    if not is_integral(value):
         raise ValueError(f"seed must be a non-negative integer, got {value!r}")
     return int(value)
 
 
 def _parse_margin(value) -> float:
-    if not (_is_number(value) and math.isfinite(value) and value >= 0):
+    if not _is_number(value):
         raise ValueError(f"margin must be a finite number >= 0, got {value!r}")
     return float(value)
 
 
 def _parse_epsilon(value):
-    """'auto' (or null) or a positive finite width."""
+    """'auto' (or null) or a width."""
     if value is None or value == "auto":
         return None
     if isinstance(value, bool):
         raise ValueError(f"epsilon must be a number or 'auto', got {value!r}")
     try:
-        eps = float(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad epsilon {value!r}") from exc
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {value!r}")
-    return eps
 
 
 def _parse_typed(name: str, kind: type, wording: str, value):
@@ -202,6 +201,8 @@ def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
 
 
 def _grid_and_eps(cfg: RunConfig, problem):
+    if cfg.epsilon is not None:
+        check_epsilon(cfg.epsilon)
     grid = auto_grid(problem, points=cfg.grid_points, margin=cfg.margin)
     eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
     return grid, eps

@@ -6,16 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inversion import SpectralCurve
+from .inversion import SpectralCurve, check_epsilon
 from .lattice import EIGENSOLVE_LIMIT, check_size, expected_degree, node_count
 from .percolation import adjacency
 
 # Symmetry tolerance for the dense eigensolve path.
 SYMMETRY_TOL = 1e-12
 
-# Rows per strip of the symmetry check: the only workspace is one
-# strip-by-N buffer (1.5 MB at N=1500) instead of two N x N temporaries.
-_SYMMETRY_STRIP = 128
+# Side of the symmetry check's tiles: the only workspace is one tile
+# (128 KiB) instead of two N x N temporaries.
+_SYMMETRY_TILE = 128
 
 # Float64 elements (1 MB) in the smoothing kernel's grid-rows-by-eigenvalues
 # buffer; a block holds at least one grid row of a full eigenvalue chunk.
@@ -32,26 +32,31 @@ class EmpiricalSpectrum:
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric real matrix, ascending.
 
-    Rejects matrices that are not symmetric within SYMMETRY_TOL; spectra of
-    row-normalized matrices go through row_normalized_eigenvalues, which
-    handles the similarity reduction.
+    Rejects matrices that are not symmetric within SYMMETRY_TOL, checked
+    tile by tile: each tile on or above the diagonal is compared with the
+    transpose of its mirror tile.  Spectra of row-normalized matrices go
+    through row_normalized_eigenvalues, which handles the similarity
+    reduction.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     check_size("dense eigensolve", n, EIGENSOLVE_LIMIT)
-    buf = np.empty((min(n, _SYMMETRY_STRIP), n))
-    for lo in range(0, n, _SYMMETRY_STRIP):
-        d = buf[: min(_SYMMETRY_STRIP, n - lo)]
-        np.subtract(matrix[lo : lo + len(d)], matrix[:, lo : lo + len(d)].T, out=d)
-        worst = np.abs(d, out=d).max()
-        # `not <=` so that a NaN entry (NaN difference) is rejected too
-        if not worst <= SYMMETRY_TOL:
-            raise ValueError(
-                f"matrix is not symmetric within tolerance {SYMMETRY_TOL:g} "
-                f"(max |A - A^T| = {worst:.3g})"
-            )
+    side = _SYMMETRY_TILE
+    buf = np.empty((min(n, side), min(n, side)))
+    for r in range(0, n, side):
+        for c in range(r, n, side):
+            upper = matrix[r : r + side, c : c + side]
+            d = buf[: upper.shape[0], : upper.shape[1]]
+            np.subtract(upper, matrix[c : c + side, r : r + side].T, out=d)
+            worst = np.abs(d, out=d).max()
+            # `not <=` so that a NaN entry (NaN difference) is rejected too
+            if not worst <= SYMMETRY_TOL:
+                raise ValueError(
+                    f"matrix is not symmetric within tolerance {SYMMETRY_TOL:g} "
+                    f"(max |A - A^T| = {worst:.3g})"
+                )
     return np.linalg.eigvalsh(matrix)
 
 
@@ -109,8 +114,7 @@ def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: flo
     whatever the grid and pool sizes, and the result does not depend on
     the block size.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check_epsilon(epsilon)
     if not epsilon**2 > 0:  # else a grid point on an eigenvalue divides by zero
         raise ValueError(f"epsilon={epsilon:.3g} is too small: epsilon^2 underflows to 0")
     grid = np.asarray(grid, dtype=float)
@@ -145,13 +149,20 @@ def trial_seed(seed: int, trial: int) -> int:
 
 def trial_samples(spec, seed: int, trials: int):
     """Each trial's percolation sample(spec, trial_seed(seed, t)), lazily in trial order.
-    The trial count and the dense-eigensolve size are checked before the first draw."""
+
+    The dense-eigensolve size, the trial count and the seed are checked
+    before the first draw.  The supergraph is then listed once, and every
+    trial draws from that listing: only its Philox stream is its own.
+    """
     # looked up at call time, so a wrapper on percolation.sample sees every draw
-    from .percolation import sample as draw
+    from .percolation import links, sample as draw
     check_size("dense eigensolve", node_count(spec), EIGENSOLVE_LIMIT)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return (draw(spec, trial_seed(seed, t)) for t in range(trials))
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    listed = links(spec)
+    return (draw(spec, trial_seed(seed, t), listed) for t in range(trials))
 
 
 def monte_carlo_spectrum(spec, seed: int, trials: int) -> EmpiricalSpectrum:

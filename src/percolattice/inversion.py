@@ -62,13 +62,18 @@ def default_epsilon(grid: np.ndarray) -> float:
     return 2.0 * grid_spacing(grid)
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless the smoothing width is positive and finite."""
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def density_curve(stieltjes, grid, epsilon: float) -> SpectralCurve:
     """density(x) = (1/pi) Im S(x + i*epsilon) over the grid.
 
     stieltjes is called once, on the whole array grid + i*epsilon.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check_epsilon(epsilon)
     grid = np.asarray(grid, dtype=float)
     dens = np.asarray(stieltjes(grid + 1j * epsilon)).imag / np.pi
     if dens.min() < -_NEGATIVE_DENSITY_TOL:
@@ -97,6 +102,8 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
 
 def auto_grid(problem: CanonicalProblem, points: int, margin: float) -> np.ndarray:
     """Uniform grid covering all branch values with variance-scaled margins."""
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
     if points < 16:
         raise ValueError("grid needs at least 16 points")
     check_size("grid", points, GRID_POINT_LIMIT, name="points")

@@ -126,28 +126,34 @@ def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
     (see percolation.sample).  This order is therefore part of the output
     contract: changing it changes every sample at a given (spec, seed).
 
-    Built per (dimension d, offset k): with stride s_d = M_0 ... M_{d-1},
-    every node whose d-th digit is below M_d - k links to node i + k s_d.
+    Built without a sort from a per-node table of candidate partners, one
+    column block per dimension d: with stride s_d = M_0 ... M_{d-1}, column
+    k of block d is node i + k s_d, kept where i's d-th digit is below
+    M_d - k.  Within a row the partners ascend, because a dimension-d
+    partner lies below i + M_d s_d = i + s_{d+1}, the first dimension-(d+1)
+    partner; so the kept cells, read in C order, are already in (i, j) order.
     """
     n = node_count(spec)
-    nodes = np.arange(1, n + 1, dtype=np.int64)
-    rows_i, rows_j = [], []
-    stride = 1
-    for m in spec.dims:
-        # C-order view as (higher digits, digit d, lower digits)
-        by_digit = nodes.reshape(-1, m, stride)
-        for k in range(1, m):
-            i = by_digit[:, : m - k, :].ravel()
-            rows_i.append(i)
-            rows_j.append(i + k * stride)
+    width = sum(m - 1 for m in spec.dims)
+    offset = np.empty(width, dtype=np.int64)
+    dim = np.empty(width, dtype=np.int64)
+    keep = np.empty((n, width), dtype=bool)
+    nodes = np.arange(n, dtype=np.int64)
+    col, stride = 0, 1
+    for d, m in enumerate(spec.dims):
+        k = np.arange(1, m, dtype=np.int64)
+        block = slice(col, col + m - 1)
+        offset[block] = k * stride
+        dim[block] = d
+        np.less((nodes // stride % m)[:, None], m - k, out=keep[:, block])
+        col += m - 1
         stride *= m
-    i = np.concatenate(rows_i)
-    j = np.concatenate(rows_j)
-    # dimension d contributes N (M_d - 1) / 2 links, one block after another
-    per_dim = [n * (m - 1) // 2 for m in spec.dims]
-    dd = np.repeat(np.arange(spec.ndim, dtype=np.int64), per_dim)
-    order = np.lexsort((j, i))
-    return np.column_stack([i[order], j[order], dd[order]])
+    i, cell = np.divmod(np.flatnonzero(keep), width)
+    edges = np.empty((len(i), 3), dtype=np.int64)
+    np.add(i, 1, out=edges[:, 0])
+    np.add(edges[:, 0], offset[cell], out=edges[:, 1])
+    np.take(dim, cell, out=edges[:, 2])
+    return edges
 
 
 def _write_links(spec: LatticeSpec, edges: np.ndarray, per_dim) -> np.ndarray:

@@ -42,12 +42,21 @@ class GirkoConditionReport:
     min_scaled_variance: float
 
 
-def sample(spec: LatticeSpec, seed: int) -> PercolationSample:
-    """Draw one percolation: independent Bernoulli trial per supergraph link."""
+def links(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """supergraph_edges(spec) and each row's keep probability p_d."""
     edges = supergraph_edges(spec)
+    return edges, np.array(spec.probs)[edges[:, 2]]
+
+
+def sample(spec: LatticeSpec, seed: int, listed=None) -> PercolationSample:
+    """Draw one percolation: independent Bernoulli trial per supergraph link.
+
+    `listed` is links(spec), passed in when many samples of one spec are
+    drawn; left out, the links are listed for this draw alone.
+    """
+    edges, p = links(spec) if listed is None else listed
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     u = rng.random(edges.shape[0])
-    p = np.array(spec.probs)[edges[:, 2]]
     return PercolationSample(spec=spec, edges=edges[u < p])
 
 

@@ -90,8 +90,9 @@ class TestConfigHandling:
         ("solve", "output_path", 1),
         ("solve", "output_path", None),
         ("solve", "epsilon", True),
-        ("solve", "seed", -1),
         ("simulate", "seed", -1),
+        ("simulate", "margin", -5),
+        ("simulate", "epsilon", -1),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                               command, key, value):
@@ -265,19 +266,37 @@ class TestSimulate:
 
 
 class TestUnusedSettings:
-    """The grid size and trial count are range-checked only where they are used."""
+    """Every setting is range-checked only where it is used."""
 
-    # both used to exit 1: grid_points and trials were range-checked for every command
+    # each used to exit 1: every setting was range-checked for every command
     @pytest.mark.parametrize("argv, ignored", [
         (["conditions", "--dims", "30,50", "--probs", "0.7,0.5"], ["--grid-points", "5"]),
         (["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
          ["--trials", "0"]),
+        (["conditions", "--dims", "30,50", "--probs", "0.7,0.5"],
+         ["--epsilon", "-1", "--margin", "-5"]),
+        (["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
+         ["--epsilon", "-1"]),
+        (["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
+          "--output", "o.csv"], ["--seed", "-1"]),
     ])
-    def test_ignored_setting_is_not_checked(self, capsys, argv, ignored):
+    def test_ignored_setting_is_not_checked(self, tmp_path, monkeypatch, capsys, argv,
+                                            ignored):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
         plain = capsys.readouterr().out
+        written = [p.read_bytes() for p in sorted(tmp_path.iterdir())]
         assert main(argv + ignored) == 0
         assert capsys.readouterr().out == plain
+        assert [p.read_bytes() for p in sorted(tmp_path.iterdir())] == written
+
+    def test_ignored_config_value_is_not_checked(self, tmp_path, monkeypatch):
+        # a JSON seed of -1 used to fail `solve`, which draws nothing
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": [3, 4], "probs": [0.7, 0.5], "seed": -1,
+                                   "grid_points": 100}))
+        assert main(["solve", "--config", str(cfg), "--output", "o.csv"]) == 0
 
     @pytest.mark.parametrize("command, flags, message", [
         ("solve", ["--grid-points", "5"], "grid needs at least 16 points"),
@@ -286,6 +305,9 @@ class TestUnusedSettings:
         ("simulate", ["--trials", "0"], "trials must be >= 1"),
         ("compare", ["--trials", "0"], "trials must be >= 1"),
         ("compare", ["--trials", "-1", "--normalized"], "trials must be >= 1"),
+        ("simulate", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ("compare", ["--seed", "-1", "--normalized"],
+         "seed must be a non-negative integer, got -1"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):

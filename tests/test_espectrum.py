@@ -54,8 +54,8 @@ class TestEigenvalues:
             eigenvalues(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
     def test_rejects_asymmetry_in_last_strip(self):
-        # N not a multiple of the strip height; the only asymmetric pair
-        # sits in the last, short strip, just above the tolerance
+        # N not a multiple of the tile side; the only asymmetric pair sits
+        # in the last, short row of tiles, just above the tolerance
         a = np.zeros((300, 300))
         a[299, 3] = 2e-12
         with pytest.raises(ValueError, match="symmetric"):
@@ -63,8 +63,28 @@ class TestEigenvalues:
         a[3, 299] = 1.5e-12
         assert np.array_equal(eigenvalues(a), np.linalg.eigvalsh(a))
 
+    def test_rejects_asymmetry_in_lower_half_of_diagonal_tile(self):
+        # the pair lies inside one tile on the diagonal, so that tile's own
+        # transpose is its mirror
+        a = np.zeros((300, 300))
+        a[200, 130] = 2e-12
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues(a)
+        a[130, 200] = 1.5e-12
+        assert np.array_equal(eigenvalues(a), np.linalg.eigvalsh(a))
+
+    @pytest.mark.parametrize("row, col", [(299, 3), (70, 10)], ids=["off-diagonal-tile",
+                                                                      "diagonal-tile"])
+    def test_rejects_nan_in_lower_triangle_only(self, row, col):
+        # eigvalsh reads only the lower triangle, where the NaN sits
+        a = np.eye(300)
+        a[row, col] = np.nan
+        with pytest.raises(ValueError, match="symmetric within tolerance 1e-12"):
+            eigenvalues(a)
+
     def test_workspace_is_bounded(self):
-        # the whole-matrix check held two N x N temporaries (36 MB at N=1500)
+        # the whole-matrix check held two N x N temporaries (36 MB at N=1500),
+        # and a 128-row strip of it 1.5 MB; a tile is 128 KiB
         a = np.random.default_rng(3).normal(size=(1500, 1500))
         a += a.T
         tracemalloc.start()
@@ -73,7 +93,7 @@ class TestEigenvalues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= 512 * 2**10
 
     def test_rejects_oversize(self):
         with pytest.raises(SizeLimitError, match="refused"):
@@ -290,6 +310,23 @@ class TestTrialLoop:
         monkeypatch.setattr(percolation, "sample", no_sampling)
         with pytest.raises(error, match=message):
             trial_samples(spec, 0, trials)
+
+    @pytest.mark.parametrize("run", [monte_carlo_spectrum, theorem3_spectra])
+    def test_lists_the_supergraph_once_per_run(self, monkeypatch, run):
+        # every trial used to list and sort all of the supergraph's links again
+        calls = {"supergraph_edges": 0, "sample": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(percolation, "supergraph_edges",
+                            counted("supergraph_edges", percolation.supergraph_edges))
+        monkeypatch.setattr(percolation, "sample", counted("sample", percolation.sample))
+        run(self.SPEC, 8, 4)
+        assert calls == {"supergraph_edges": 1, "sample": 4}
 
     def test_monte_carlo_pool_is_the_pool_of_trials(self):
         # the per-trial eigenvalues that tests keep pool to monte_carlo_spectrum's bytes

@@ -172,6 +172,12 @@ class TestAutoGrid:
         with pytest.raises(ValueError):
             auto_grid(prob, 8, margin=0.1)
 
+    @pytest.mark.parametrize("margin", [-5.0, float("nan"), float("inf")])
+    def test_rejects_bad_margin(self, margin):
+        prob = build_problem(LatticeSpec((3, 3), (0.5, 0.5)))
+        with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+            auto_grid(prob, 100, margin=margin)
+
 
 class TestSpectralCurve:
     def test_rejects_unsorted_grid(self):

@@ -139,11 +139,11 @@ class _Parser(argparse.ArgumentParser):
 def _parse_z_list(text: str) -> list[complex]:
     out = []
     for token in text.split(","):
-        token = token.strip().replace("i", "j")
+        typed = token.strip()
         try:
-            out.append(complex(token))
+            out.append(complex(typed.replace("i", "j")))
         except ValueError as exc:
-            raise ValueError(f"bad complex value {token!r}") from exc
+            raise ValueError(f"bad complex value {typed!r}") from exc
     return out
 
 

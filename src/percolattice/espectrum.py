@@ -29,27 +29,41 @@ class EmpiricalSpectrum:
     eigenvalues: np.ndarray
 
 
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
+def eigenvalues(matrix: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """All eigenvalues of a symmetric real matrix, ascending.
 
     Rejects matrices that are not symmetric within SYMMETRY_TOL, checked
     tile by tile: each tile on or above the diagonal is compared with the
-    transpose of its mirror tile.  Spectra of row-normalized matrices go
-    through row_normalized_eigenvalues, which handles the similarity
-    reduction.
+    transpose of its mirror tile.  The eigenvalues are those of the lower
+    triangle, as np.linalg.eigvalsh computes them.
+
+    overwrite=True lets LAPACK dsyevd use a writeable C-contiguous matrix
+    as its workspace instead of a private copy, with the same bits, and
+    leaves the matrix's contents undefined.  LAPACK reads that buffer's
+    upper triangle, so each tile on or above the diagonal is overwritten
+    with its checked mirror first.  Other input, and numpy builds without
+    the bundled OpenBLAS, take the copying path.  Spectra of row-normalized
+    matrices go through row_normalized_eigenvalues, which handles the
+    similarity reduction.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     check_size("dense eigensolve", n, EIGENSOLVE_LIMIT)
+    solve = None
+    if overwrite and matrix.flags.c_contiguous and matrix.flags.writeable:
+        # imported here, so a process that never solves in place does not load it
+        from . import _openblas
+        solve = _openblas.in_place_eigvalsh()
     side = _SYMMETRY_TILE
     buf = np.empty((min(n, side), min(n, side)))
     for r in range(0, n, side):
         for c in range(r, n, side):
             upper = matrix[r : r + side, c : c + side]
+            mirror = matrix[c : c + side, r : r + side].T
             d = buf[: upper.shape[0], : upper.shape[1]]
-            np.subtract(upper, matrix[c : c + side, r : r + side].T, out=d)
+            np.subtract(upper, mirror, out=d)
             worst = np.abs(d, out=d).max()
             # `not <=` so that a NaN entry (NaN difference) is rejected too
             if not worst <= SYMMETRY_TOL:
@@ -57,7 +71,10 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
                     f"matrix is not symmetric within tolerance {SYMMETRY_TOL:g} "
                     f"(max |A - A^T| = {worst:.3g})"
                 )
-    return np.linalg.eigvalsh(matrix)
+            if solve is not None:
+                # on the diagonal, numpy copies the overlapping mirror first
+                upper[...] = mirror
+    return np.linalg.eigvalsh(matrix) if solve is None else solve(matrix)
 
 
 def row_normalized_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -71,8 +88,12 @@ def row_normalized_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     deg = a.sum(axis=1)
     live = deg > 0
     s = 1.0 / np.sqrt(deg[live])
-    sub = a[np.ix_(live, live)] * s[:, None] * s[None, :]
-    return np.sort(np.concatenate([eigenvalues(sub), np.zeros(len(a) - len(sub))]))
+    # scaled and solved in the one copy that indexing makes
+    sub = a[np.ix_(live, live)]
+    sub *= s[:, None]
+    sub *= s[None, :]
+    vals = eigenvalues(sub, overwrite=True)
+    return np.sort(np.concatenate([vals, np.zeros(len(a) - len(sub))]))
 
 
 def pool(spectra) -> EmpiricalSpectrum:
@@ -166,18 +187,24 @@ def trial_samples(spec, seed: int, trials: int):
 
 
 def monte_carlo_spectrum(spec, seed: int, trials: int) -> EmpiricalSpectrum:
-    """Pool the spectra of W = A/gamma over `trials` independent percolations."""
+    """Pool the spectra of W = A/gamma over `trials` independent percolations.
+
+    Each trial's adjacency is solved in place, so a trial holds one dense
+    N x N matrix.
+    """
     gamma = expected_degree(spec)
-    return pool([eigenvalues(adjacency(s)) / gamma for s in trial_samples(spec, seed, trials)])
+    return pool([eigenvalues(adjacency(s), overwrite=True) / gamma
+                 for s in trial_samples(spec, seed, trials)])
 
 
 def theorem3_spectra(spec, seed: int, trials: int):
     """Theorem 3's pair, the sqrt(gamma)-scaled pools of A/gamma and Delta^{-1} A.
-    A trial's two spectra come from one sample and one 0/1 adjacency."""
+    A trial's two spectra come from one sample and one 0/1 adjacency, which
+    the row-normalized spectrum reads before the scaled one solves it in place."""
     gamma = expected_degree(spec)
     scale = np.sqrt(gamma)
     scaled, normalized = [], []
     for a in map(adjacency, trial_samples(spec, seed, trials)):
-        scaled.append(eigenvalues(a) / gamma * scale)
         normalized.append(row_normalized_eigenvalues(a) * scale)
+        scaled.append(eigenvalues(a, overwrite=True) / gamma * scale)
     return pool(scaled), pool(normalized)

@@ -120,7 +120,8 @@ def figure_trials():
         dims, probs, seed = FIGURES[figure]
         spec = LatticeSpec(dims, probs)
         gamma = expected_degree(spec)
-        per_trial = [eigenvalues(adjacency(s)) / gamma for s in trial_samples(spec, seed, 50)]
+        per_trial = [eigenvalues(adjacency(s), overwrite=True) / gamma
+                     for s in trial_samples(spec, seed, 50)]
         return spec, per_trial, pool(per_trial)
 
     return trials

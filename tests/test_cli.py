@@ -504,6 +504,13 @@ class TestOracle:
     def test_size_limit(self):
         assert main(["oracle", "--dims", "30,50", "--probs", "0.7,0.5"]) == 2
 
+    @pytest.mark.parametrize("z", ["inf+1i", "0.2+0.5i, 1+x"])
+    def test_bad_z_names_the_typed_token(self, capsys, z):
+        # the i -> j rewrite used to show up in the message: 'jnf+1j'
+        assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", z]) == 1
+        typed = z.split(",")[-1].strip()
+        assert f"bad complex value {typed!r}" in capsys.readouterr().err
+
     def test_at_documented_cap(self, capsys):
         # N=576, D=8: the least-squares residual's 331776 x 256 complex basis
         # (1.27 GiB) used to end this run in a MemoryError traceback
@@ -572,6 +579,24 @@ def test_compare_leaves_numpy_ma_unloaded(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["solve"], "0"),
+    (["oracle", "--z", "0.2+0.5i"], "0"),
+    (["conditions"], "0"),
+    (["simulate"], "1"),
+])
+def test_only_monte_carlo_loads_the_lapack_binding(tmp_path, argv, loaded):
+    code = ("import sys; from percolattice.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print(int('percolattice._openblas' in sys.modules))")
+    r = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--dims", "4,5", "--probs", "0.6,0.7",
+         "--trials", "2", "--grid-points", "200", "--output", str(tmp_path / "o.csv")],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == loaded
 
 
 def test_cli_import_leaves_scipy_unloaded():

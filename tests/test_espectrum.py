@@ -1,11 +1,12 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolattice import percolation
+from percolattice import _openblas, espectrum, percolation
 from percolattice.espectrum import (
     EmpiricalSpectrum,
     eigenvalues,
@@ -53,25 +54,29 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="symmetric within tolerance 1e-12"):
             eigenvalues(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
-    def test_rejects_asymmetry_in_last_strip(self):
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_rejects_asymmetry_in_last_strip(self, overwrite):
         # N not a multiple of the tile side; the only asymmetric pair sits
-        # in the last, short row of tiles, just above the tolerance
+        # in the last, short row of tiles, just above the tolerance. Once
+        # within it, a solve that read the upper triangle (1.5e-12) instead
+        # of the lower one (2e-12) would give other bits
         a = np.zeros((300, 300))
         a[299, 3] = 2e-12
         with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues(a)
+            eigenvalues(a.copy(), overwrite=overwrite)
         a[3, 299] = 1.5e-12
-        assert np.array_equal(eigenvalues(a), np.linalg.eigvalsh(a))
+        _assert_same_bits(eigenvalues(a.copy(), overwrite=overwrite), np.linalg.eigvalsh(a))
 
-    def test_rejects_asymmetry_in_lower_half_of_diagonal_tile(self):
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_rejects_asymmetry_in_lower_half_of_diagonal_tile(self, overwrite):
         # the pair lies inside one tile on the diagonal, so that tile's own
         # transpose is its mirror
         a = np.zeros((300, 300))
         a[200, 130] = 2e-12
         with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues(a)
+            eigenvalues(a.copy(), overwrite=overwrite)
         a[130, 200] = 1.5e-12
-        assert np.array_equal(eigenvalues(a), np.linalg.eigvalsh(a))
+        _assert_same_bits(eigenvalues(a.copy(), overwrite=overwrite), np.linalg.eigvalsh(a))
 
     @pytest.mark.parametrize("row, col", [(299, 3), (70, 10)], ids=["off-diagonal-tile",
                                                                       "diagonal-tile"])
@@ -98,6 +103,115 @@ class TestEigenvalues:
     def test_rejects_oversize(self):
         with pytest.raises(SizeLimitError, match="refused"):
             eigenvalues(np.zeros((4001, 4001)))
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _near_symmetric(n, seed):
+    # symmetric, plus noise below the diagonal within the tolerance, and a
+    # -0.0 above the diagonal where the lower triangle holds +0.0
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a += a.T
+    a += np.tril(rng.uniform(-4e-13, 4e-13, size=(n, n)), -1)
+    a[1, 0], a[0, 1] = 0.0, -0.0
+    return a
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _figure_1a_adjacency():
+    spec = LatticeSpec((30, 50), (0.7, 0.5))
+    return adjacency(sample(spec, trial_seed(42, 0)))
+
+
+class TestInPlaceEigenvalues:
+    """eigenvalues(a, overwrite=True) solves in a's own buffer, with eigvalsh's bits."""
+
+    @pytest.mark.parametrize("make", [
+        _figure_1a_adjacency,
+        lambda: np.zeros((0, 0)),  # a row-normalized matrix with every node isolated
+        lambda: np.array([[2.5]]),
+        lambda: _near_symmetric(300, 5),  # 3 x 3 tiles, short last row of tiles
+    ], ids=["figure-1a", "N=0", "N=1", "near-symmetric"])
+    def test_same_bits_as_eigvalsh(self, make):
+        a = make()
+        _assert_same_bits(eigenvalues(a.copy(), overwrite=True), np.linalg.eigvalsh(a))
+
+    def test_solves_in_the_callers_buffer(self):
+        if _openblas.in_place_eigvalsh() is None:
+            pytest.skip("numpy does not bundle scipy-openblas")
+        a = _near_symmetric(200, 6)
+        b = a.copy()
+        eigenvalues(b, overwrite=True)
+        # dsytrd leaves its Householder vectors in the buffer
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("make", [
+        np.asfortranarray,
+        lambda a: np.pad(a, ((0, 0), (0, 1)))[:, :-1],  # rows not contiguous
+        _read_only,
+        lambda a: a.astype(np.float32),  # solved in place on its float64 copy
+    ], ids=["fortran", "strided", "read-only", "float32"])
+    def test_leaves_other_input_alone(self, make):
+        m = make(_near_symmetric(150, 7))
+        before = m.copy()
+        want = np.linalg.eigvalsh(np.asarray(m, dtype=float))
+        _assert_same_bits(eigenvalues(m, overwrite=True), want)
+        assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(3)[:, ::-1], np.eye(3, dtype=np.float32), _read_only(np.eye(3)), np.ones((2, 3)),
+    ], ids=["strided", "float32", "read-only", "non-square"])
+    def test_binding_refuses_other_buffers(self, matrix):
+        solve = _openblas.in_place_eigvalsh()
+        if solve is None:
+            pytest.skip("numpy does not bundle scipy-openblas")
+        with pytest.raises(ValueError, match="writeable C-contiguous float64 square"):
+            solve(matrix)
+
+    def test_falls_back_without_the_bundled_lapack(self, monkeypatch):
+        # numpy on MKL or Accelerate: the loader finds no scipy-openblas
+        monkeypatch.setattr(_openblas, "in_place_eigvalsh", lambda: None)
+        a = _near_symmetric(300, 8)
+        b = a.copy()
+        _assert_same_bits(eigenvalues(b, overwrite=True), np.linalg.eigvalsh(a))
+        assert np.array_equal(a, b)
+
+    def test_binding_is_numpys_own_library(self):
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        except TypeError:  # numpy < 1.26 has no mode="dicts"
+            pytest.skip("numpy cannot report its LAPACK")
+        if lapack.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy uses {lapack.get('name')}, not scipy-openblas")
+        assert _openblas.in_place_eigvalsh() is not None
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("no /proc/self/maps")
+        paths = {line.split()[-1] for line in maps.read_text().splitlines()
+                 if "libscipy_openblas64_" in line}
+        assert len(paths) == 1, paths
+
+    def test_workspace_is_bounded(self):
+        # LAPACK's own workspace (34 N doubles) and one symmetry tile; the
+        # copying path allocates a second N x N (18 MB) outside tracemalloc's view
+        a = np.random.default_rng(3).normal(size=(1500, 1500))
+        a += a.T
+        tracemalloc.start()
+        try:
+            eigenvalues(a, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestEsdCdf:
@@ -327,6 +441,18 @@ class TestTrialLoop:
         monkeypatch.setattr(percolation, "sample", counted("sample", percolation.sample))
         run(self.SPEC, 8, 4)
         assert calls == {"supergraph_edges": 1, "sample": 4}
+
+    @pytest.mark.parametrize("run, solves", [(monte_carlo_spectrum, 1), (theorem3_spectra, 2)])
+    def test_solves_every_matrix_in_place(self, monkeypatch, run, solves):
+        calls = []
+
+        def spy(matrix, **kwargs):
+            calls.append(kwargs)
+            return eigenvalues(matrix, **kwargs)
+
+        monkeypatch.setattr(espectrum, "eigenvalues", spy)
+        run(self.SPEC, 8, 3)
+        assert calls == [{"overwrite": True}] * (3 * solves)
 
     def test_monte_carlo_pool_is_the_pool_of_trials(self):
         # the per-trial eigenvalues that tests keep pool to monte_carlo_spectrum's bytes

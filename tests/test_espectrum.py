@@ -54,29 +54,17 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="symmetric within tolerance 1e-12"):
             eigenvalues(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
-    @pytest.mark.parametrize("overwrite", [False, True])
-    def test_rejects_asymmetry_in_last_strip(self, overwrite):
-        # N not a multiple of the tile side; the only asymmetric pair sits
-        # in the last, short row of tiles, just above the tolerance. Once
-        # within it, a solve that read the upper triangle (1.5e-12) instead
-        # of the lower one (2e-12) would give other bits
-        a = np.zeros((300, 300))
-        a[299, 3] = 2e-12
-        with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues(a.copy(), overwrite=overwrite)
-        a[3, 299] = 1.5e-12
-        _assert_same_bits(eigenvalues(a.copy(), overwrite=overwrite), np.linalg.eigvalsh(a))
+    def test_rejects_asymmetry_in_last_strip(self):
+        _check_asymmetry_in_last_strip(overwrite=False)
 
-    @pytest.mark.parametrize("overwrite", [False, True])
-    def test_rejects_asymmetry_in_lower_half_of_diagonal_tile(self, overwrite):
-        # the pair lies inside one tile on the diagonal, so that tile's own
-        # transpose is its mirror
-        a = np.zeros((300, 300))
-        a[200, 130] = 2e-12
-        with pytest.raises(ValueError, match="symmetric"):
-            eigenvalues(a.copy(), overwrite=overwrite)
-        a[130, 200] = 1.5e-12
-        _assert_same_bits(eigenvalues(a.copy(), overwrite=overwrite), np.linalg.eigvalsh(a))
+    def test_rejects_asymmetry_in_last_strip_in_place(self):
+        _check_asymmetry_in_last_strip(overwrite=True)
+
+    def test_rejects_asymmetry_in_lower_half_of_diagonal_tile(self):
+        _check_asymmetry_in_lower_half_of_diagonal_tile(overwrite=False)
+
+    def test_rejects_asymmetry_in_lower_half_of_diagonal_tile_in_place(self):
+        _check_asymmetry_in_lower_half_of_diagonal_tile(overwrite=True)
 
     @pytest.mark.parametrize("row, col", [(299, 3), (70, 10)], ids=["off-diagonal-tile",
                                                                       "diagonal-tile"])
@@ -103,6 +91,30 @@ class TestEigenvalues:
     def test_rejects_oversize(self):
         with pytest.raises(SizeLimitError, match="refused"):
             eigenvalues(np.zeros((4001, 4001)))
+
+
+def _check_asymmetry_in_last_strip(overwrite):
+    # N not a multiple of the tile side; the only asymmetric pair sits
+    # in the last, short row of tiles, just above the tolerance. Once
+    # within it, a solve that read the upper triangle (1.5e-12) instead
+    # of the lower one (2e-12) would give other bits
+    a = np.zeros((300, 300))
+    a[299, 3] = 2e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalues(a.copy(), overwrite=overwrite)
+    a[3, 299] = 1.5e-12
+    _assert_same_bits(eigenvalues(a.copy(), overwrite=overwrite), np.linalg.eigvalsh(a))
+
+
+def _check_asymmetry_in_lower_half_of_diagonal_tile(overwrite):
+    # the pair lies inside one tile on the diagonal, so that tile's own
+    # transpose is its mirror
+    a = np.zeros((300, 300))
+    a[200, 130] = 2e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalues(a.copy(), overwrite=overwrite)
+    a[130, 200] = 1.5e-12
+    _assert_same_bits(eigenvalues(a.copy(), overwrite=overwrite), np.linalg.eigvalsh(a))
 
 
 def _assert_same_bits(got, want):

@@ -23,10 +23,10 @@ from .canonical import (
     solve_alpha,
 )
 from .espectrum import monte_carlo_spectrum, smoothed_density, theorem3_spectra
-from .inversion import auto_grid, cdf_from_density, check_epsilon, default_epsilon
-from .inversion import density_curve
+from .inversion import auto_grid, cdf_from_density, check_epsilon, check_grid
+from .inversion import default_epsilon, density_curve, span_grid
 from .lattice import ORACLE_NODE_LIMIT, LatticeSpec, SizeLimitError, check_size
-from .lattice import expected_degree, is_integral, node_count
+from .lattice import is_integral, node_count
 from .metrics import compare as compare_curves
 from .percolation import girko_conditions
 
@@ -200,12 +200,20 @@ def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _grid_and_eps(cfg: RunConfig, problem):
+def _check_grid_settings(cfg: RunConfig) -> None:
     if cfg.epsilon is not None:
         check_epsilon(cfg.epsilon)
+    check_grid(cfg.grid_points, cfg.margin)
+
+
+def _epsilon(cfg: RunConfig, grid) -> float:
+    return cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
+
+
+def _grid_and_eps(cfg: RunConfig, problem):
+    _check_grid_settings(cfg)
     grid = auto_grid(problem, points=cfg.grid_points, margin=cfg.margin)
-    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
-    return grid, eps
+    return grid, _epsilon(cfg, grid)
 
 
 def _cdf(label: str, density):
@@ -255,19 +263,20 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    problem = build_problem(spec)
-    grid, eps = _grid_and_eps(cfg, problem)
     if cfg.normalized:
-        # Theorem-3 mode, both curves empirical; the scaled-adjacency
-        # reference takes the det columns so the CSV schema stays fixed
+        # Theorem-3 mode, both curves empirical, on a grid spanning both
+        # spectra; the scaled-adjacency reference takes the det columns so
+        # the CSV schema stays fixed
+        _check_grid_settings(cfg)  # before sampling
         ref, pooled = theorem3_spectra(spec, cfg.seed, cfg.trials)
-        scale = np.sqrt(expected_degree(spec))
-        lo = min(ref.eigenvalues.min(), -scale) - 10 * eps
-        hi = max(ref.eigenvalues.max(), scale) + 10 * eps
-        grid = np.linspace(lo, hi, cfg.grid_points)
-        eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
+        lo = min(ref.eigenvalues[0], pooled.eigenvalues[0])
+        hi = max(ref.eigenvalues[-1], pooled.eigenvalues[-1])
+        grid = span_grid(lo, hi, cfg.grid_points, cfg.margin)
+        eps = _epsilon(cfg, grid)
         det = _smoothed_curve("reference (scaled adjacency)", ref, grid, eps)
     else:
+        problem = build_problem(spec)
+        grid, eps = _grid_and_eps(cfg, problem)
         det = _deterministic_curves(problem, grid, eps)
         pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials)
     emp = _smoothed_curve("empirical", pooled, grid, eps)

@@ -172,29 +172,32 @@ def trial_samples(spec, seed: int, trials: int):
     """Each trial's percolation sample(spec, trial_seed(seed, t)), lazily in trial order.
 
     The dense-eigensolve size, the trial count and the seed are checked
-    before the first draw.  The supergraph is then listed once, and every
-    trial draws from that listing: only its Philox stream is its own.
+    before the first draw.  The supergraph is then listed once, as int32 rows,
+    and every trial draws from that listing: only its Philox stream is its own.
     """
-    # looked up at call time, so a wrapper on percolation.sample sees every draw
-    from .percolation import links, sample as draw
+    # looked up at call time, so a wrapper in percolation sees every draw and the listing
+    from .percolation import sample as draw, supergraph_edges
     check_size("dense eigensolve", node_count(spec), EIGENSOLVE_LIMIT)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    listed = links(spec)
-    return (draw(spec, trial_seed(seed, t), listed) for t in range(trials))
+    edges = supergraph_edges(spec).astype(np.int32)
+    return (draw(spec, trial_seed(seed, t), edges) for t in range(trials))
 
 
 def monte_carlo_spectrum(spec, seed: int, trials: int) -> EmpiricalSpectrum:
     """Pool the spectra of W = A/gamma over `trials` independent percolations.
 
-    Each trial's adjacency is solved in place, so a trial holds one dense
-    N x N matrix.
+    Each trial's adjacency is solved in place with neither its sample nor
+    the previous matrix alive, so a trial holds one dense N x N matrix.
     """
     gamma = expected_degree(spec)
-    return pool([eigenvalues(adjacency(s), overwrite=True) / gamma
-                 for s in trial_samples(spec, seed, trials)])
+    spectra = []
+    for a in map(adjacency, trial_samples(spec, seed, trials)):
+        spectra.append(eigenvalues(a, overwrite=True) / gamma)
+        del a  # else it stays alive while the next trial's matrix is built
+    return pool(spectra)
 
 
 def theorem3_spectra(spec, seed: int, trials: int):
@@ -207,4 +210,5 @@ def theorem3_spectra(spec, seed: int, trials: int):
     for a in map(adjacency, trial_samples(spec, seed, trials)):
         normalized.append(row_normalized_eigenvalues(a) * scale)
         scaled.append(eigenvalues(a, overwrite=True) / gamma * scale)
+        del a
     return pool(scaled), pool(normalized)

@@ -100,17 +100,31 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
     return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density)
 
 
-def auto_grid(problem: CanonicalProblem, points: int, margin: float) -> np.ndarray:
-    """Uniform grid covering all branch values with variance-scaled margins."""
+def check_grid(points: int, margin: float) -> None:
+    """Raise ValueError unless `points` and `margin` make a grid; every grid rule checks here.
+
+    A grid spans values below 1e85 in magnitude (branch values within 2,
+    padded by 4 sigma < 1e82; sqrt(gamma)-scaled eigenvalues within
+    N / sqrt(gamma), since gamma^2 > 0) plus a margin at each end, so its
+    span is finite exactly when 2 * margin is.
+    """
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
     if points < 16:
         raise ValueError("grid needs at least 16 points")
     check_size("grid", points, GRID_POINT_LIMIT, name="points")
-    # Python floats: an overflowing span becomes inf without a numpy warning
-    w = margin + 4.0 * math.sqrt(problem.variance_sum)
-    lo = float(problem.atoms.min()) - w
-    hi = float(problem.atoms.max()) + w
-    if not math.isfinite(hi - lo):
+    if not math.isfinite(2.0 * margin):
         raise ValueError(f"grid span overflows at margin {margin:g}; choose a smaller margin")
-    return np.linspace(lo, hi, points)
+
+
+def auto_grid(problem: CanonicalProblem, points: int, margin: float) -> np.ndarray:
+    """Uniform grid covering all branch values with variance-scaled margins."""
+    check_grid(points, margin)
+    w = margin + 4.0 * math.sqrt(problem.variance_sum)
+    return np.linspace(float(problem.atoms.min()) - w, float(problem.atoms.max()) + w, points)
+
+
+def span_grid(lo: float, hi: float, points: int, margin: float) -> np.ndarray:
+    """Uniform grid from lo - margin to hi + margin, for values observed in [lo, hi]."""
+    check_grid(points, margin)
+    return np.linspace(float(lo) - margin, float(hi) + margin, points)

@@ -29,7 +29,7 @@ class PercolationSample:
     """One sampled percolated graph: retained edges of the supergraph."""
 
     spec: LatticeSpec
-    edges: np.ndarray  # kept rows (i, j, dim) of supergraph_edges(spec), in its order
+    edges: np.ndarray  # kept rows (i, j, dim) of the listing drawn from, in its order
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,17 @@ class GirkoConditionReport:
     min_scaled_variance: float
 
 
-def links(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """supergraph_edges(spec) and each row's keep probability p_d."""
-    edges = supergraph_edges(spec)
-    return edges, np.array(spec.probs)[edges[:, 2]]
-
-
-def sample(spec: LatticeSpec, seed: int, listed=None) -> PercolationSample:
+def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
     """Draw one percolation: independent Bernoulli trial per supergraph link.
 
-    `listed` is links(spec), passed in when many samples of one spec are
-    drawn; left out, the links are listed for this draw alone.
+    `edges` is supergraph_edges(spec), in any integer dtype, passed in when
+    many samples of one spec are drawn; left out, the links are listed for
+    this draw alone.
     """
-    edges, p = links(spec) if listed is None else listed
+    edges = supergraph_edges(spec) if edges is None else edges
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     u = rng.random(edges.shape[0])
-    return PercolationSample(spec=spec, edges=edges[u < p])
+    return PercolationSample(spec=spec, edges=edges[u < np.asarray(spec.probs)[edges[:, 2]]])
 
 
 def adjacency(sample: PercolationSample) -> np.ndarray:

@@ -34,6 +34,7 @@ from percolattice.inversion import (
     cdf_from_density,
     default_epsilon,
     density_curve,
+    span_grid,
 )
 from percolattice.lattice import (
     LatticeSpec,
@@ -312,3 +313,32 @@ def test_criterion_10_perron_outlier(figure_trials):
         details.append(f"fig {figure}: z* = {zstar:.6f}, observed {top.mean():.6f} "
                        f"+- {se:.1e} (z = {z:+.2f})")
     report(10, "Perron outlier", ok, f"{'; '.join(details)}; |z| <= {bound}")
+
+
+def test_criterion_11_theorem3_rate():
+    # Theorem 3: the row-normalized and scaled-adjacency spectra meet at rate
+    # 1/sqrt(gamma).  Measured (mean Levy of seeds 7 and 8, 10 trials each):
+    # Levy * sqrt(gamma) = 0.0547, 0.0523, 0.0552, 0.0466 up the ladder, and
+    # the slope of log Levy on log gamma is -0.62.
+    def levy(spec, seed):
+        scaled, norm = theorem3_spectra(spec, seed, 10)
+        # compare --normalized's grid: both spectra, plus the default margin
+        grid = span_grid(min(scaled.eigenvalues[0], norm.eigenvalues[0]),
+                         max(scaled.eigenvalues[-1], norm.eigenvalues[-1]), 2000, 0.1)
+        a = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(scaled, grid), float))
+        b = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(norm, grid), float))
+        return levy_distance(a, b)
+
+    gammas, levys = [], []
+    for dims in ((10, 10), (15, 15), (20, 20), (30, 30)):
+        spec = LatticeSpec(dims, (0.6, 0.6))
+        gammas.append(expected_degree(spec))
+        levys.append(np.mean([levy(spec, seed) for seed in (7, 8)]))
+    rate = np.array(levys) * np.sqrt(gammas)
+    slope = np.polyfit(np.log(gammas), np.log(levys), 1)[0]
+    # the band has >= 35% headroom on the measured range, and the window 0.23
+    # beyond the measured slope; a 1/gamma rate (slope -1) or none (0) is outside it
+    ok = 0.03 <= rate.min() and rate.max() <= 0.08 and -0.85 <= slope <= -0.15
+    report(11, "Theorem 3 rate", ok,
+           f"Levy * sqrt(gamma) = {', '.join(f'{v:.4f}' for v in rate)} in "
+           f"[0.03, 0.08]; slope {slope:.2f} in [-0.85, -0.15]")

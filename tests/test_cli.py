@@ -308,6 +308,13 @@ class TestUnusedSettings:
         ("simulate", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         ("compare", ["--seed", "-1", "--normalized"],
          "seed must be a non-negative integer, got -1"),
+        ("compare", ["--grid-points", "5", "--normalized"], "grid needs at least 16 points"),
+        ("compare", ["--margin", "-1", "--normalized"],
+         "margin must be a finite number >= 0, got -1.0"),
+        ("compare", ["--margin", "1e308", "--normalized"],
+         "grid span overflows at margin 1e+308; choose a smaller margin"),
+        ("compare", ["--epsilon", "0", "--normalized"],
+         "epsilon must be positive and finite, got 0.0"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):
@@ -475,6 +482,25 @@ class TestCompare:
                      "--trials", "3", "--seed", "2", "--grid-points", "500",
                      "--normalized", "--output", str(out)]) == 0
         assert "levy=" in capsys.readouterr().out
+
+    def test_normalized_grid_spans_both_spectra(self, tmp_path, monkeypatch):
+        # it used to build the deterministic problem and its grid only to take
+        # that grid's epsilon, in A/gamma units, as a margin in sqrt(gamma) units
+        def unused(*args, **kwargs):
+            raise AssertionError("deterministic side built")
+
+        monkeypatch.setattr(cli, "build_problem", unused)
+        monkeypatch.setattr(cli, "auto_grid", unused)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--dims", "6,6", "--probs", "0.6,0.6", "--trials", "3",
+                     "--seed", "2", "--grid-points", "500", "--margin", "0.25",
+                     "--normalized", "--output", str(out)]) == 0
+        ref, normalized = espectrum.theorem3_spectra(lattice.LatticeSpec((6, 6), (0.6, 0.6)),
+                                                     2, 3)
+        both = np.concatenate([ref.eigenvalues, normalized.eigenvalues])
+        x = read_csv(out)[1]["x"]
+        assert len(x) == 500
+        assert x[0] == both.min() - 0.25 and x[-1] == both.max() + 0.25
 
     def test_normalized_draws_each_trial_once(self, tmp_path, monkeypatch):
         # a trial's reference and row-normalized spectra share one sample and

@@ -31,7 +31,7 @@ from .lattice import (
     lattice_adjacency,
     node_count,
 )
-from .metrics import DistanceReport, compare, kolmogorov_distance, levy_distance
+from .metrics import DistanceReport, compare
 from .percolation import (
     GirkoConditionReport,
     PercolationSample,

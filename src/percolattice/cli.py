@@ -69,17 +69,11 @@ def _parse_probs(value) -> tuple[float, ...]:
     raise ValueError(f"probs must be a list of numbers, got {value!r}")
 
 
+# The parsers check types only; a range is checked where the setting is
+# used, so a command does not reject a setting it ignores.
 def _parse_int(name: str, value) -> int:
     if not is_integral(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-# The parsers check types only; a range is checked where the setting is
-# used, so a command does not reject a setting it ignores.
-def _parse_seed(value) -> int:
-    if not is_integral(value):
-        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
     return int(value)
 
 
@@ -118,7 +112,7 @@ class RunConfig:
     dims: tuple[int, ...] = _parsed(parse=_parse_dims)
     probs: tuple[float, ...] = _parsed(parse=_parse_probs)
     trials: int = _parsed(50, parse=partial(_parse_int, "trials"))
-    seed: int = _parsed(0, parse=_parse_seed)
+    seed: int = _parsed(0, parse=partial(_parse_int, "seed"))
     grid_points: int = _parsed(2000, parse=partial(_parse_int, "grid_points"))
     margin: float = _parsed(0.1, parse=_parse_margin)
     epsilon: float | None = _parsed(None, parse=_parse_epsilon)  # None: 2x grid spacing

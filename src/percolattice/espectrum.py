@@ -29,22 +29,23 @@ class EmpiricalSpectrum:
     eigenvalues: np.ndarray
 
 
-def eigenvalues(matrix: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric real matrix, ascending.
 
     Rejects matrices that are not symmetric within SYMMETRY_TOL, checked
     tile by tile: each tile on or above the diagonal is compared with the
     transpose of its mirror tile.  The eigenvalues are those of the lower
-    triangle, as np.linalg.eigvalsh computes them.
+    triangle, with the bits of np.linalg.eigvalsh.
 
-    overwrite=True lets LAPACK dsyevd use a writeable C-contiguous matrix
-    as its workspace instead of a private copy, with the same bits, and
-    leaves the matrix's contents undefined.  LAPACK reads that buffer's
-    upper triangle, so each tile on or above the diagonal is overwritten
-    with its checked mirror first.  Other input, and numpy builds without
-    the bundled OpenBLAS, take the copying path.  Spectra of row-normalized
-    matrices go through row_normalized_eigenvalues, which handles the
-    similarity reduction.
+    A writeable C-contiguous float64 matrix is consumed: LAPACK dsyevd
+    uses it as its workspace instead of a private copy, and its contents
+    are undefined afterwards, also after a rejection.  LAPACK reads that
+    buffer's upper triangle, so each tile on or above the diagonal is
+    overwritten with its checked mirror first.  Other input is left alone:
+    another dtype is solved in its float64 conversion, and Fortran-ordered,
+    strided or read-only input, like all input where numpy does not bundle
+    that OpenBLAS, in eigvalsh's own copy.  Spectra of row-normalized matrices go through
+    row_normalized_eigenvalues, which handles the similarity reduction.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
@@ -52,7 +53,7 @@ def eigenvalues(matrix: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     check_size("dense eigensolve", n, EIGENSOLVE_LIMIT)
     solve = None
-    if overwrite and matrix.flags.c_contiguous and matrix.flags.writeable:
+    if matrix.flags.c_contiguous and matrix.flags.writeable:
         # imported here, so a process that never solves in place does not load it
         from . import _openblas
         solve = _openblas.in_place_eigvalsh()
@@ -92,7 +93,7 @@ def row_normalized_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     sub = a[np.ix_(live, live)]
     sub *= s[:, None]
     sub *= s[None, :]
-    vals = eigenvalues(sub, overwrite=True)
+    vals = eigenvalues(sub)
     return np.sort(np.concatenate([vals, np.zeros(len(a) - len(sub))]))
 
 
@@ -136,8 +137,6 @@ def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: flo
     the block size.
     """
     check_epsilon(epsilon)
-    if not epsilon**2 > 0:  # else a grid point on an eigenvalue divides by zero
-        raise ValueError(f"epsilon={epsilon:.3g} is too small: epsilon^2 underflows to 0")
     grid = np.asarray(grid, dtype=float)
     vals = spectrum.eigenvalues
     dens = np.zeros_like(grid)
@@ -195,7 +194,7 @@ def monte_carlo_spectrum(spec, seed: int, trials: int) -> EmpiricalSpectrum:
     gamma = expected_degree(spec)
     spectra = []
     for a in map(adjacency, trial_samples(spec, seed, trials)):
-        spectra.append(eigenvalues(a, overwrite=True) / gamma)
+        spectra.append(eigenvalues(a) / gamma)
         del a  # else it stays alive while the next trial's matrix is built
     return pool(spectra)
 
@@ -209,6 +208,6 @@ def theorem3_spectra(spec, seed: int, trials: int):
     scaled, normalized = [], []
     for a in map(adjacency, trial_samples(spec, seed, trials)):
         normalized.append(row_normalized_eigenvalues(a) * scale)
-        scaled.append(eigenvalues(a, overwrite=True) / gamma * scale)
+        scaled.append(eigenvalues(a) / gamma * scale)
         del a
     return pool(scaled), pool(normalized)

@@ -37,11 +37,6 @@ def _shared_grid(a: SpectralCurve, b: SpectralCurve) -> np.ndarray:
     return pts[np.diff(pts, prepend=-np.inf) > 0]
 
 
-def kolmogorov_distance(a: SpectralCurve, b: SpectralCurve) -> float:
-    """sup over the shared grid of |F_a - F_b| (step interpolation)."""
-    return compare(a, b).kolmogorov
-
-
 def _levy_feasible(a: SpectralCurve, b: SpectralCurve, grid: np.ndarray, eps: float) -> bool:
     fb = _step_eval(b.grid, b.cdf, grid)
     lo = _step_eval(a.grid, a.cdf, grid - eps) - eps
@@ -49,18 +44,15 @@ def _levy_feasible(a: SpectralCurve, b: SpectralCurve, grid: np.ndarray, eps: fl
     return bool(np.all(lo <= fb + 1e-15) and np.all(fb <= hi + 1e-15))
 
 
-def levy_distance(a: SpectralCurve, b: SpectralCurve) -> float:
-    """Smallest eps (to grid resolution) with F_a(x-eps)-eps <= F_b(x) <= F_a(x+eps)+eps.
-
-    Checked in both orientations and bisected to a quarter of the grid
-    spacing; eps = Kolmogorov distance is always feasible, so the result
-    never exceeds it.
-    """
-    return compare(a, b).levy
-
-
 def compare(a: SpectralCurve, b: SpectralCurve) -> DistanceReport:
-    """Both distances on one shared grid; the Levy bisection starts at eps = Kolmogorov."""
+    """Kolmogorov and Levy distances of two CDF curves on one shared grid.
+
+    Kolmogorov: sup over the shared grid of |F_a - F_b| (step interpolation).
+    Levy: the smallest eps (to grid resolution) with
+    F_a(x-eps)-eps <= F_b(x) <= F_a(x+eps)+eps, checked in both orientations
+    and bisected to a quarter of the grid spacing from eps = Kolmogorov,
+    which is always feasible, so Levy never exceeds Kolmogorov.
+    """
     grid = _shared_grid(a, b)
     fa, fb = _step_eval(a.grid, a.cdf, grid), _step_eval(b.grid, b.cdf, grid)
     kol = float(np.abs(fa - fb).max())

@@ -44,7 +44,7 @@ from percolattice.lattice import (
     expected_spectrum,
     node_count,
 )
-from percolattice.metrics import kolmogorov_distance, levy_distance
+from percolattice.metrics import compare
 from percolattice.percolation import adjacency, girko_conditions
 
 # (dims, probs, seed) of the paper's two figures, 50 trials each
@@ -121,7 +121,7 @@ def figure_trials():
         dims, probs, seed = FIGURES[figure]
         spec = LatticeSpec(dims, probs)
         gamma = expected_degree(spec)
-        per_trial = [eigenvalues(adjacency(s), overwrite=True) / gamma
+        per_trial = [eigenvalues(adjacency(s)) / gamma
                      for s in trial_samples(spec, seed, 50)]
         return spec, per_trial, pool(per_trial)
 
@@ -157,7 +157,7 @@ def test_criterion_5_row_normalization_trend():
         grid = np.linspace(lo, hi, 2000)
         a = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(scaled, grid), float))
         b = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(norm, grid), float))
-        return levy_distance(a, b)
+        return compare(a, b).levy
 
     d_small = levy_pair((10, 10), seed=7)
     d_large = levy_pair((30, 30), seed=7)
@@ -238,7 +238,8 @@ def test_criterion_8_invariant_suites():
     for _ in range(5):
         a = SpectralCurve(grid=fine, cdf=np.sort(rng.uniform(0, 1, fine.size)))
         b = SpectralCurve(grid=fine, cdf=np.sort(rng.uniform(0, 1, fine.size)))
-        checks.append(levy_distance(a, b) <= kolmogorov_distance(a, b) + 1e-12)
+        rep = compare(a, b)
+        checks.append(rep.levy <= rep.kolmogorov + 1e-12)
 
     # encode/decode round trip
     for _ in range(50):
@@ -327,7 +328,7 @@ def test_criterion_11_theorem3_rate():
                          max(scaled.eigenvalues[-1], norm.eigenvalues[-1]), 2000, 0.1)
         a = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(scaled, grid), float))
         b = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(norm, grid), float))
-        return levy_distance(a, b)
+        return compare(a, b).levy
 
     gammas, levys = [], []
     for dims in ((10, 10), (15, 15), (20, 20), (30, 30)):

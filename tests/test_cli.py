@@ -315,6 +315,14 @@ class TestUnusedSettings:
          "grid span overflows at margin 1e+308; choose a smaller margin"),
         ("compare", ["--epsilon", "0", "--normalized"],
          "epsilon must be positive and finite, got 0.0"),
+        ("solve", ["--epsilon", "1e-170"],
+         "epsilon=1e-170 is too small: epsilon^2 underflows to 0"),
+        ("simulate", ["--epsilon", "1e-170"],
+         "epsilon=1e-170 is too small: epsilon^2 underflows to 0"),
+        ("compare", ["--epsilon", "1e-170"],
+         "epsilon=1e-170 is too small: epsilon^2 underflows to 0"),
+        ("compare", ["--epsilon", "1e-170", "--normalized"],
+         "epsilon=1e-170 is too small: epsilon^2 underflows to 0"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolattice.inversion import SpectralCurve
-from percolattice.metrics import compare, kolmogorov_distance, levy_distance
+from percolattice.metrics import compare
 
 
 def step_curve(location, grid):
@@ -24,30 +24,30 @@ def random_cdf(draw_values, grid):
 class TestKolmogorov:
     def test_identical_curves(self):
         a = step_curve(0.0, FINE)
-        assert kolmogorov_distance(a, a) == 0.0
+        assert compare(a, a).kolmogorov == 0.0
 
     def test_shifted_steps(self):
         a = step_curve(0.0, FINE)
         b = step_curve(0.3, FINE)
-        assert kolmogorov_distance(a, b) == 1.0
+        assert compare(a, b).kolmogorov == 1.0
 
     def test_uniform_offset(self):
         a = SpectralCurve(grid=FINE, cdf=np.linspace(0, 1, len(FINE)))
         clipped = np.clip(a.cdf, 0.05, 0.95)
         b = SpectralCurve(grid=FINE, cdf=clipped)
-        assert kolmogorov_distance(a, b) == pytest.approx(0.05)
+        assert compare(a, b).kolmogorov == pytest.approx(0.05)
 
     def test_rejects_disjoint_spans(self):
         a = step_curve(0.0, np.linspace(-1, 0, 100))
         b = step_curve(5.0, np.linspace(4, 6, 100))
         with pytest.raises(ValueError, match="disjoint"):
-            kolmogorov_distance(a, b)
+            compare(a, b)
 
     def test_resamples_mismatched_grids(self):
         ga = np.linspace(-1, 2, 1000)
         gb = np.linspace(-1.5, 2.5, 1379)
         ramp = lambda g: SpectralCurve(grid=g, cdf=np.clip(g, 0, 1))
-        assert kolmogorov_distance(ramp(ga), ramp(gb)) <= 0.01
+        assert compare(ramp(ga), ramp(gb)).kolmogorov <= 0.01
 
 
 class TestSharedGrid:
@@ -65,12 +65,12 @@ class TestSharedGrid:
 class TestLevy:
     def test_identical_curves(self):
         a = step_curve(0.2, FINE)
-        assert levy_distance(a, a) == 0.0
+        assert compare(a, a).levy == 0.0
 
     def test_shifted_steps(self):
         a = step_curve(0.0, FINE)
         b = step_curve(0.3, FINE)
-        assert levy_distance(a, b) == pytest.approx(0.3, abs=2 * (FINE[1] - FINE[0]))
+        assert compare(a, b).levy == pytest.approx(0.3, abs=2 * (FINE[1] - FINE[0]))
 
     def test_levy_below_kolmogorov(self):
         rng = np.random.default_rng(7)
@@ -91,8 +91,9 @@ class TestMetricProperties:
         a = random_cdf(xs, FINE)
         b = random_cdf(ys, FINE)
         spacing = FINE[1] - FINE[0]
-        assert kolmogorov_distance(a, b) == kolmogorov_distance(b, a)
-        assert abs(levy_distance(a, b) - levy_distance(b, a)) <= spacing
+        ab, ba = compare(a, b), compare(b, a)
+        assert ab.kolmogorov == ba.kolmogorov
+        assert abs(ab.levy - ba.levy) <= spacing
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -103,5 +104,6 @@ class TestMetricProperties:
     def test_triangle_inequality(self, xs, ys, zs):
         a, b, c = (random_cdf(v, FINE) for v in (xs, ys, zs))
         spacing = FINE[1] - FINE[0]
-        for dist in (kolmogorov_distance, levy_distance):
-            assert dist(a, c) <= dist(a, b) + dist(b, c) + 2 * spacing
+        ac, ab, bc = compare(a, c), compare(a, b), compare(b, c)
+        assert ac.kolmogorov <= ab.kolmogorov + bc.kolmogorov + 2 * spacing
+        assert ac.levy <= ab.levy + bc.levy + 2 * spacing

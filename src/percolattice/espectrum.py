@@ -44,8 +44,9 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     overwritten with its checked mirror first.  Other input is left alone:
     another dtype is solved in its float64 conversion, and Fortran-ordered,
     strided or read-only input, like all input where numpy does not bundle
-    that OpenBLAS, in eigvalsh's own copy.  Spectra of row-normalized matrices go through
-    row_normalized_eigenvalues, which handles the similarity reduction.
+    that OpenBLAS, in eigvalsh's own copy.  Spectra of row-normalized
+    matrices go through row_normalized_eigenvalues, which handles the
+    similarity reduction.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]

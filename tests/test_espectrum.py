@@ -82,7 +82,7 @@ class TestEigenvalues:
         # and a 128-row strip of it 1.5 MB; a tile is 128 KiB
         a = np.random.default_rng(3).normal(size=(1500, 1500))
         a += a.T
-        a.flags.writeable = False
+        a.flags.writeable = False  # the copying path
         tracemalloc.start()
         try:
             eigenvalues(a)

@@ -286,17 +286,13 @@ def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
     return float(np.linalg.norm(proj) / max(np.linalg.norm(c), 1e-300))
 
 
-def matrix_k1_oracle(
-    spec: LatticeSpec,
-    z: complex,
-    tol: float = 1e-10,
-    return_matrix: bool = False,
-):
+def matrix_k1_oracle(spec: LatticeSpec, z: complex, tol: float = 1e-10):
     """Matrix-level canonical fixed point; the independent check on solve_alpha.
 
     Iterates C <- (B - zI - diag_k(sum_s C_ss E[H_ks^2]))^{-1} from
     i*sign(Im z)*I until successive trace-averages differ by < tol, then
     verifies the converged C sits in the Kronecker solution-form span.
+    Returns (tr C / N, C).
     """
     n = node_count(spec)
     check_size("oracle", n, ORACLE_NODE_LIMIT)
@@ -335,10 +331,7 @@ def matrix_k1_oracle(
             f"converged resolvent leaves the Kronecker solution form: "
             f"relative residual {residual:.3e} > {10 * tol:.1e}"
         )
-    s_val = complex(np.trace(c) / n)
-    if return_matrix:
-        return s_val, c
-    return s_val
+    return complex(np.trace(c) / n), c
 
 
 def oracle_z_grid() -> list[complex]:

@@ -168,12 +168,14 @@ def trial_seed(seed: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def trial_samples(spec, seed: int, trials: int):
-    """Each trial's percolation sample(spec, trial_seed(seed, t)), lazily in trial order.
+def map_trials(spec, seed: int, trials: int, solve) -> list:
+    """solve(adjacency(sample(spec, trial_seed(seed, t)))) for each trial t, in trial order.
 
     The dense-eigensolve size, the trial count and the seed are checked
     before the first draw.  The supergraph is then listed once, as int32 rows,
     and every trial draws from that listing: only its Philox stream is its own.
+    A trial's sample is dropped once its matrix is built, and the matrix once
+    `solve` returns, so a run with an in-place solve holds one dense N x N matrix.
     """
     # looked up at call time, so a wrapper in percolation sees every draw and the listing
     from .percolation import sample as draw, supergraph_edges
@@ -183,21 +185,13 @@ def trial_samples(spec, seed: int, trials: int):
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     edges = supergraph_edges(spec).astype(np.int32)
-    return (draw(spec, trial_seed(seed, t), edges) for t in range(trials))
+    return [solve(adjacency(draw(spec, trial_seed(seed, t), edges))) for t in range(trials)]
 
 
 def monte_carlo_spectrum(spec, seed: int, trials: int) -> EmpiricalSpectrum:
-    """Pool the spectra of W = A/gamma over `trials` independent percolations.
-
-    Each trial's adjacency is solved in place with neither its sample nor
-    the previous matrix alive, so a trial holds one dense N x N matrix.
-    """
+    """Pool the spectra of W = A/gamma over `trials` independent percolations."""
     gamma = expected_degree(spec)
-    spectra = []
-    for a in map(adjacency, trial_samples(spec, seed, trials)):
-        spectra.append(eigenvalues(a) / gamma)
-        del a  # else it stays alive while the next trial's matrix is built
-    return pool(spectra)
+    return pool(map_trials(spec, seed, trials, lambda a: eigenvalues(a) / gamma))
 
 
 def theorem3_spectra(spec, seed: int, trials: int):
@@ -206,9 +200,6 @@ def theorem3_spectra(spec, seed: int, trials: int):
     the row-normalized spectrum reads before the scaled one solves it in place."""
     gamma = expected_degree(spec)
     scale = np.sqrt(gamma)
-    scaled, normalized = [], []
-    for a in map(adjacency, trial_samples(spec, seed, trials)):
-        normalized.append(row_normalized_eigenvalues(a) * scale)
-        scaled.append(eigenvalues(a) / gamma * scale)
-        del a
+    normalized, scaled = zip(*map_trials(spec, seed, trials, lambda a: (
+        row_normalized_eigenvalues(a) * scale, eigenvalues(a) / gamma * scale)))
     return pool(scaled), pool(normalized)

@@ -129,4 +129,8 @@ def auto_grid(problem: CanonicalProblem, points: int, margin: float) -> np.ndarr
 def span_grid(lo: float, hi: float, points: int, margin: float) -> np.ndarray:
     """Uniform grid from lo - margin to hi + margin, for values observed in [lo, hi]."""
     check_grid(points, margin)
-    return np.linspace(float(lo) - margin, float(hi) + margin, points)
+    grid = np.linspace(float(lo) - margin, float(hi) + margin, points)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"values in [{lo:g}, {hi:g}] at margin {margin:g} give no strictly "
+                         "ascending grid; choose a larger margin")
+    return grid

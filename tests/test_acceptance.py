@@ -22,11 +22,11 @@ from percolattice.espectrum import (
     eigenvalues,
     empirical_stieltjes,
     esd_cdf,
+    map_trials,
     monte_carlo_spectrum,
     pool,
     smoothed_density,
     theorem3_spectra,
-    trial_samples,
 )
 from percolattice.inversion import (
     SpectralCurve,
@@ -45,7 +45,7 @@ from percolattice.lattice import (
     node_count,
 )
 from percolattice.metrics import compare
-from percolattice.percolation import adjacency, girko_conditions
+from percolattice.percolation import girko_conditions
 
 # (dims, probs, seed) of the paper's two figures, 50 trials each
 FIGURES = {
@@ -73,7 +73,7 @@ def test_criterion_1_oracle_equivalence():
         prob = build_problem(spec)
         for z in oracle_z_grid():
             a = solve_alpha(prob, z).alpha_principal
-            s = matrix_k1_oracle(spec, z, tol=1e-12)
+            s, _ = matrix_k1_oracle(spec, z, tol=1e-12)
             worst = max(worst, abs(a - s))
     report(1, "oracle equivalence", worst <= 1e-8, f"worst |diff| = {worst:.3e}")
 
@@ -82,7 +82,7 @@ def test_criterion_2_solution_form_residual():
     spec = LatticeSpec((4, 5), (0.7, 0.5))
     worst = 0.0
     for z in (0.2 + 0.7j, -0.5 + 0.1j, 0.9 + 1.5j):
-        _, c = matrix_k1_oracle(spec, z, tol=1e-12, return_matrix=True)
+        _, c = matrix_k1_oracle(spec, z, tol=1e-12)
         worst = max(worst, solution_form_residual(spec, c))
     report(2, "solution-form residual", worst <= 1e-6,
            f"worst relative residual = {worst:.3e}")
@@ -121,8 +121,7 @@ def figure_trials():
         dims, probs, seed = FIGURES[figure]
         spec = LatticeSpec(dims, probs)
         gamma = expected_degree(spec)
-        per_trial = [eigenvalues(adjacency(s)) / gamma
-                     for s in trial_samples(spec, seed, 50)]
+        per_trial = map_trials(spec, seed, 50, lambda a: eigenvalues(a) / gamma)
         return spec, per_trial, pool(per_trial)
 
     return trials

@@ -163,6 +163,19 @@ class TestConfigHandling:
                                 "choose a smaller margin\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--epsilon", "0.1"]])
+    def test_zero_span_normalized_grid_names_the_margin(self, tmp_path, capsys, flags):
+        # p = 1e-9 keeps no link, so both pooled spectra are all zeros; their
+        # constant grid at margin 0 used to be blamed on epsilon or the grid
+        out = tmp_path / "o.csv"
+        assert main(["compare", "--dims", "6,6", "--probs", "1e-9,1e-9", "--trials", "2",
+                     "--normalized", "--margin", "0", *flags, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: values in [0, 0] at margin 0 give no strictly "
+                                "ascending grid; choose a larger margin\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_underflowing_epsilon_is_config_error(self, tmp_path, capsys):
         # eps^2 == 0: the grid points on the eigenvalues -1 and 1 divided by
         # zero, with a numpy warning, and the CSV held inf at both

@@ -10,6 +10,7 @@ from percolattice.inversion import (
     default_epsilon,
     density_curve,
     grid_spacing,
+    span_grid,
 )
 from percolattice.lattice import LatticeSpec, branch_table, expected_spectrum, node_count
 
@@ -177,6 +178,14 @@ class TestAutoGrid:
         prob = build_problem(LatticeSpec((3, 3), (0.5, 0.5)))
         with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
             auto_grid(prob, 100, margin=margin)
+
+
+class TestSpanGrid:
+    @pytest.mark.parametrize("lo, hi, margin", [(0.0, 0.0, 0.0), (1e20, 1e20, 1.0)])
+    def test_no_ascending_grid_names_the_margin(self, lo, hi, margin):
+        # a constant grid used to pass on, to be blamed on epsilon or the grid
+        with pytest.raises(ValueError, match=f"at margin {margin:g} give no strictly ascending"):
+            span_grid(lo, hi, 16, margin)
 
 
 class TestSpectralCurve:

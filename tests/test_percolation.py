@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from percolattice.canonical import build_problem, variance_matrix
-from percolattice.espectrum import row_normalized_eigenvalues, trial_samples
+from percolattice.espectrum import row_normalized_eigenvalues, trial_seed
 from percolattice.lattice import (
     LatticeSpec,
     expected_degree,
@@ -10,6 +10,12 @@ from percolattice.lattice import (
     supergraph_edges,
 )
 from percolattice.percolation import adjacency, girko_conditions, sample
+
+
+def trial_draws(spec, seed, trials):
+    """sample(spec, trial_seed(seed, t)) for each trial t, all from one listing."""
+    edges = supergraph_edges(spec)
+    return (sample(spec, trial_seed(seed, t), edges) for t in range(trials))
 
 
 def scaled_adjacency(s):
@@ -57,7 +63,7 @@ class TestSampling:
     def test_mean_edge_count(self):
         # binomial mean over dims: 1500*29/2*0.7 + 1500*49/2*0.5 = 33600
         spec = LatticeSpec((30, 50), (0.7, 0.5))
-        counts = [len(s.edges) for s in trial_samples(spec, 123, 200)]
+        counts = [len(s.edges) for s in trial_draws(spec, 123, 200)]
         var = 1500 * 29 / 2 * 0.7 * 0.3 + 1500 * 49 / 2 * 0.5 * 0.5
         se = np.sqrt(var / 200)
         assert abs(np.mean(counts) - 33600) <= 3 * se
@@ -67,7 +73,7 @@ class TestSampling:
         edges = supergraph_edges(spec)
         per_dim_total = np.array([(edges[:, 2] == d).sum() for d in (0, 1)])
         kept = np.zeros(2)
-        for s in trial_samples(spec, 99, 1000):
+        for s in trial_draws(spec, 99, 1000):
             kept += np.bincount(s.edges[:, 2], minlength=2)
         for d, p in enumerate(spec.probs):
             rate = kept[d] / (per_dim_total[d] * 1000)
@@ -125,7 +131,7 @@ class TestMatrices:
         b = expected_matrix(spec)
         acc = np.zeros_like(b)
         trials = 500
-        for s in trial_samples(spec, 2024, trials):
+        for s in trial_draws(spec, 2024, trials):
             acc += scaled_adjacency(s)
         acc /= trials
         se = np.sqrt(variance_matrix(spec) / trials)

@@ -90,8 +90,9 @@ _TOL = 1e-12
 # Sweeps per level.
 _MAX_SWEEPS = 200
 
-# Iterations of the matrix oracle's damped fixed point before it gives up.
+# Matrix oracle: iterations before it gives up, and the trace-average step that ends it.
 _ORACLE_MAX_ITER = 200_000
+_ORACLE_TOL = 1e-12
 
 
 def _g(atoms, weights, sig2, z, alpha):
@@ -286,11 +287,11 @@ def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
     return float(np.linalg.norm(proj) / max(np.linalg.norm(c), 1e-300))
 
 
-def matrix_k1_oracle(spec: LatticeSpec, z: complex, tol: float = 1e-10):
+def matrix_k1_oracle(spec: LatticeSpec, z: complex):
     """Matrix-level canonical fixed point; the independent check on solve_alpha.
 
     Iterates C <- (B - zI - diag_k(sum_s C_ss E[H_ks^2]))^{-1} from
-    i*sign(Im z)*I until successive trace-averages differ by < tol, then
+    i*sign(Im z)*I until successive trace-averages differ by < 1e-12, then
     verifies the converged C sits in the Kronecker solution-form span.
     Returns (tr C / N, C).
     """
@@ -306,7 +307,6 @@ def matrix_k1_oracle(spec: LatticeSpec, z: complex, tol: float = 1e-10):
     trace_avg = np.trace(c) / n
     eta = 1.0
     prev_delta = np.inf
-    converged = False
     for _ in range(_ORACLE_MAX_ITER):
         shift = v @ np.diagonal(c)
         c_next = np.linalg.inv(base - np.diag(shift))
@@ -314,22 +314,21 @@ def matrix_k1_oracle(spec: LatticeSpec, z: complex, tol: float = 1e-10):
         new_avg = np.trace(c) / n
         delta = abs(new_avg - trace_avg)
         trace_avg = new_avg
-        if delta < tol:
-            converged = True
+        if delta < _ORACLE_TOL:
             break
         if delta > prev_delta:
             eta = max(0.25 * eta, 1e-3)
         prev_delta = delta
-    if not converged:
+    else:
         raise OracleError(
             f"canonical matrix iteration did not converge at z={z} "
             f"(last trace step {prev_delta:.3e})"
         )
     residual = solution_form_residual(spec, c)
-    if residual > 10.0 * tol:
+    if residual > 10.0 * _ORACLE_TOL:
         raise OracleError(
             f"converged resolvent leaves the Kronecker solution form: "
-            f"relative residual {residual:.3e} > {10 * tol:.1e}"
+            f"relative residual {residual:.3e} > {10 * _ORACLE_TOL:.1e}"
         )
     return complex(np.trace(c) / n), c
 

@@ -172,8 +172,8 @@ def map_trials(spec, seed: int, trials: int, solve) -> list:
     """solve(adjacency(sample(spec, trial_seed(seed, t)))) for each trial t, in trial order.
 
     The dense-eigensolve size, the trial count and the seed are checked
-    before the first draw.  The supergraph is then listed once, as int32 rows,
-    and every trial draws from that listing: only its Philox stream is its own.
+    before the first draw.  The supergraph is then listed once, and every
+    trial draws from that int32 listing: only its Philox stream is its own.
     A trial's sample is dropped once its matrix is built, and the matrix once
     `solve` returns, so a run with an in-place solve holds one dense N x N matrix.
     """
@@ -184,7 +184,7 @@ def map_trials(spec, seed: int, trials: int, solve) -> list:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    edges = supergraph_edges(spec).astype(np.int32)
+    edges = supergraph_edges(spec)
     return [solve(adjacency(draw(spec, trial_seed(seed, t), edges))) for t in range(trials)]
 
 

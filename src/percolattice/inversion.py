@@ -63,11 +63,14 @@ def default_epsilon(grid: np.ndarray) -> float:
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Raise ValueError unless the smoothing width is positive, finite and squares above 0."""
+    """Raise ValueError unless the smoothing width and its square are positive and finite."""
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not epsilon**2 > 0:  # else a grid point on an eigenvalue divides by zero
+    square = float(epsilon) * float(epsilon)  # inf where epsilon**2 raises OverflowError
+    if not square > 0:  # else a grid point on an eigenvalue divides by zero
         raise ValueError(f"epsilon={epsilon:.3g} is too small: epsilon^2 underflows to 0")
+    if square == math.inf:
+        raise ValueError(f"epsilon={epsilon:.3g} is too large: epsilon^2 overflows")
 
 
 def density_curve(stieltjes, grid, epsilon: float) -> SpectralCurve:

@@ -119,12 +119,12 @@ def encode_index(spec: LatticeSpec, digits) -> int:
 
 
 def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
-    """All supergraph links as an (E, 3) int64 array of (i, j, dim), i < j, 1-based.
+    """All supergraph links as an (E, 3) int32 array of (i, j, dim), i < j, 1-based.
 
-    Rows are sorted lexicographically by (i, j), and a row's position is
-    its index into the Philox stream that decides whether the link is kept
-    (see percolation.sample).  This order is therefore part of the output
-    contract: changing it changes every sample at a given (spec, seed).
+    N > 2^31 - 1 is refused before any allocation.  Rows are sorted by (i, j),
+    and a row's position is its index into the Philox stream that decides
+    whether the link is kept (see percolation.sample), so this order is part
+    of the output contract: changing it changes every sample at a (spec, seed).
 
     Built without a sort from a per-node table of candidate partners, one
     column block per dimension d: with stride s_d = M_0 ... M_{d-1}, column
@@ -134,25 +134,26 @@ def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
     partner; so the kept cells, read in C order, are already in (i, j) order.
     """
     n = node_count(spec)
+    check_size("int32 edge listing", n, np.iinfo(np.int32).max)
     width = sum(m - 1 for m in spec.dims)
-    offset = np.empty(width, dtype=np.int64)
-    dim = np.empty(width, dtype=np.int64)
+    offset = np.empty(width, dtype=np.int32)
+    dim = np.repeat(np.arange(spec.ndim, dtype=np.int32), [m - 1 for m in spec.dims])
     keep = np.empty((n, width), dtype=bool)
     nodes = np.arange(n, dtype=np.int64)
     col, stride = 0, 1
-    for d, m in enumerate(spec.dims):
+    for m in spec.dims:
         k = np.arange(1, m, dtype=np.int64)
         block = slice(col, col + m - 1)
         offset[block] = k * stride
-        dim[block] = d
         np.less((nodes // stride % m)[:, None], m - k, out=keep[:, block])
         col += m - 1
         stride *= m
-    i, cell = np.divmod(np.flatnonzero(keep), width)
-    edges = np.empty((len(i), 3), dtype=np.int64)
+    i, cell = np.nonzero(keep)
+    del keep, nodes
+    edges = np.empty((len(i), 3), dtype=np.int32)
     np.add(i, 1, out=edges[:, 0])
     np.add(edges[:, 0], offset[cell], out=edges[:, 1])
-    np.take(dim, cell, out=edges[:, 2])
+    edges[:, 2] = dim[cell]
     return edges
 
 

@@ -18,9 +18,7 @@ class DistanceReport:
 
 def _step_eval(grid: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Right-continuous step interpolation, clamped to the end values."""
-    idx = np.searchsorted(grid, x, side="right") - 1
-    out = np.where(idx < 0, cdf[0], cdf[np.clip(idx, 0, len(grid) - 1)])
-    return out
+    return cdf[np.maximum(np.searchsorted(grid, x, side="right") - 1, 0)]
 
 
 def _shared_grid(a: SpectralCurve, b: SpectralCurve) -> np.ndarray:
@@ -37,8 +35,7 @@ def _shared_grid(a: SpectralCurve, b: SpectralCurve) -> np.ndarray:
     return pts[np.diff(pts, prepend=-np.inf) > 0]
 
 
-def _levy_feasible(a: SpectralCurve, b: SpectralCurve, grid: np.ndarray, eps: float) -> bool:
-    fb = _step_eval(b.grid, b.cdf, grid)
+def _levy_feasible(a: SpectralCurve, fb: np.ndarray, grid: np.ndarray, eps: float) -> bool:
     lo = _step_eval(a.grid, a.cdf, grid - eps) - eps
     hi = _step_eval(a.grid, a.cdf, grid + eps) + eps
     return bool(np.all(lo <= fb + 1e-15) and np.all(fb <= hi + 1e-15))
@@ -60,7 +57,7 @@ def compare(a: SpectralCurve, b: SpectralCurve) -> DistanceReport:
     tol = max((grid_spacing(grid) if len(grid) > 1 else kol) / 4.0, 1e-15)
     while lev > 0.0 and lev - lo > tol:
         mid = 0.5 * (lo + lev)
-        if _levy_feasible(a, b, grid, mid) and _levy_feasible(b, a, grid, mid):
+        if _levy_feasible(a, fb, grid, mid) and _levy_feasible(b, fa, grid, mid):
             lev = mid
         else:
             lo = mid

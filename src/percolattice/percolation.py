@@ -45,9 +45,8 @@ class GirkoConditionReport:
 def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
     """Draw one percolation: independent Bernoulli trial per supergraph link.
 
-    `edges` is supergraph_edges(spec), in any integer dtype, passed in when
-    many samples of one spec are drawn; left out, the links are listed for
-    this draw alone.
+    `edges` is supergraph_edges(spec), passed in when many samples of one
+    spec are drawn; left out, the links are listed for this draw alone.
     """
     edges = supergraph_edges(spec) if edges is None else edges
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))

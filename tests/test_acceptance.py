@@ -73,7 +73,7 @@ def test_criterion_1_oracle_equivalence():
         prob = build_problem(spec)
         for z in oracle_z_grid():
             a = solve_alpha(prob, z).alpha_principal
-            s, _ = matrix_k1_oracle(spec, z, tol=1e-12)
+            s, _ = matrix_k1_oracle(spec, z)
             worst = max(worst, abs(a - s))
     report(1, "oracle equivalence", worst <= 1e-8, f"worst |diff| = {worst:.3e}")
 
@@ -82,7 +82,7 @@ def test_criterion_2_solution_form_residual():
     spec = LatticeSpec((4, 5), (0.7, 0.5))
     worst = 0.0
     for z in (0.2 + 0.7j, -0.5 + 0.1j, 0.9 + 1.5j):
-        _, c = matrix_k1_oracle(spec, z, tol=1e-12)
+        _, c = matrix_k1_oracle(spec, z)
         worst = max(worst, solution_form_residual(spec, c))
     report(2, "solution-form residual", worst <= 1e-6,
            f"worst relative residual = {worst:.3e}")

@@ -190,6 +190,20 @@ class TestConfigHandling:
             "config error: epsilon=1e-170 is too small: epsilon^2 underflows to 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["solve"], ["simulate"], ["compare"],
+                                         ["compare", "--normalized"]], ids=" ".join)
+    def test_overflowing_default_epsilon_is_config_error(self, tmp_path, capsys, command):
+        # at margin 1e300 the default epsilon, twice the grid spacing, is 2.67e299,
+        # and its square raised OverflowError: a traceback instead of exit 1
+        out = tmp_path / "o.csv"
+        assert main([*command, "--dims", "4,5", "--probs", "0.7,0.5", "--trials", "1",
+                     "--grid-points", "16", "--margin", "1e300", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: epsilon=2.67e+299 is too large: epsilon^2 overflows\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         # a directory used to end in an IsADirectoryError traceback
         assert main(["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
@@ -336,6 +350,11 @@ class TestUnusedSettings:
          "epsilon=1e-170 is too small: epsilon^2 underflows to 0"),
         ("compare", ["--epsilon", "1e-170", "--normalized"],
          "epsilon=1e-170 is too small: epsilon^2 underflows to 0"),
+        ("solve", ["--epsilon", "1e300"], "epsilon=1e+300 is too large: epsilon^2 overflows"),
+        ("simulate", ["--epsilon", "1e300"], "epsilon=1e+300 is too large: epsilon^2 overflows"),
+        ("compare", ["--epsilon", "1e300"], "epsilon=1e+300 is too large: epsilon^2 overflows"),
+        ("compare", ["--epsilon", "1e300", "--normalized"],
+         "epsilon=1e+300 is too large: epsilon^2 overflows"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -363,6 +365,16 @@ class TestSmoothedDensity:
         with pytest.raises(ValueError, match=r"epsilon=1e-170 is too small: epsilon\^2 under"):
             smoothed_density(one, grid, 1e-170)
         assert np.isfinite(smoothed_density(one, grid, 1e-150).density).all()
+
+    def test_rejects_overflowing_epsilon(self):
+        # eps**2 raised OverflowError for eps above sqrt(max float): a traceback
+        # from the CLI; the largest accepted width still smooths
+        one, grid = EmpiricalSpectrum(np.array([0.0])), np.array([0.0, 1.0])
+        largest = math.sqrt(sys.float_info.max)
+        for eps in (math.nextafter(largest, math.inf), 1e300, np.float64(1e300)):
+            with pytest.raises(ValueError, match=r"is too large: epsilon\^2 overflows"):
+                smoothed_density(one, grid, eps)
+        assert np.isfinite(smoothed_density(one, grid, largest).density).all()
 
     def test_cauchy_peak(self):
         s = EmpiricalSpectrum(np.array([0.0]))

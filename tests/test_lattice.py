@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -290,9 +291,38 @@ class TestAdjacency:
         spec = LatticeSpec(dims, (0.5,) * len(dims))
         got = supergraph_edges(spec)
         want = _reference_supergraph_edges(spec)
-        assert got.dtype == want.dtype == np.int64
+        # the listing every consumer reads is int32, with the reference's int64 values
+        assert got.dtype == np.int32
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    def test_supergraph_edges_build_memory(self):
+        # the int64 build (a flat index, then divmod) peaked at 50.0 B per link
+        # here; int32 columns written from np.nonzero, after the table is
+        # freed, peak at 32.0
+        spec = LatticeSpec((2000,), (0.5,))
+        links = 2000 * 1999 // 2
+        tracemalloc.start()
+        try:
+            edges = supergraph_edges(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges.shape == (links, 3)
+        assert peak / links <= 40
+
+    def test_supergraph_edges_refuse_int32_overflow(self):
+        # N = 2^31: node 2^31 would wrap in an int32 row
+        spec = LatticeSpec((2,) * 31, (0.5,) * 31)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError,
+                               match="int32 edge listing refused for N=2147483648 > 2147483647"):
+                supergraph_edges(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestLinkMatrix:

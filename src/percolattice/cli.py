@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -181,6 +182,21 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _cannot_write(path: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_output(path: str) -> None:
+    """Refuse, before any solve or draw, a path that _write_csv cannot open."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()  # truncates nothing; a file it creates is removed
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    if not existed:
+        os.remove(path)
+
+
 def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     names = list(columns)
     # Python floats and one row format: the bytes of f"{v:.17g}" per value
@@ -191,27 +207,25 @@ def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
             fh.write(",".join(names) + "\n")
             fh.writelines(line.format(*row) for row in rows)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _check_grid_settings(cfg: RunConfig) -> None:
-    if cfg.epsilon is not None:
-        check_epsilon(cfg.epsilon)
-    check_grid(cfg.grid_points, cfg.margin)
+        raise _cannot_write(path, exc) from exc
 
 
 def _epsilon(cfg: RunConfig, grid) -> float:
-    return cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
+    """The run's one smoothing width, --epsilon or twice the grid spacing, checked."""
+    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
+    check_epsilon(eps)
+    return eps
 
 
 def _grid_and_eps(cfg: RunConfig, problem):
-    _check_grid_settings(cfg)
     grid = auto_grid(problem, points=cfg.grid_points, margin=cfg.margin)
     return grid, _epsilon(cfg, grid)
 
 
 def _cdf(label: str, density):
     """cdf_from_density, naming the failing curve in a too-little-mass error."""
+    # every CDF is integrated from a density smoothed with the run's one eps,
+    # so the two sides are compared like for like
     try:
         return cdf_from_density(density)
     except ValueError as exc:
@@ -223,15 +237,10 @@ def _deterministic_curves(problem, grid, eps):
     return _cdf("deterministic", dens)
 
 
-def _smoothed_curve(label: str, spectrum, grid, eps):
-    # the CDF is integrated from the smoothed density, with the same eps as
-    # the deterministic curve, so the two sides are compared like for like
-    return _cdf(label, smoothed_density(spectrum, grid, eps))
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     problem = build_problem(cfg.spec())
     grid, eps = _grid_and_eps(cfg, problem)
+    _check_output(cfg.output_path)
     curve = _deterministic_curves(problem, grid, eps)
     _write_csv(cfg.output_path, {"x": grid, "f_det": curve.density, "F_det": curve.cdf})
     print(f"wrote deterministic curves to {cfg.output_path} (epsilon={eps:.6g})")
@@ -245,8 +254,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     spec = cfg.spec()
     problem = build_problem(spec)
     grid, eps = _grid_and_eps(cfg, problem)
+    _check_output(cfg.output_path)
     pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials)
-    curve = _smoothed_curve("empirical", pooled, grid, eps)
+    curve = _cdf("empirical", smoothed_density(pooled, grid, eps))
     _write_csv(cfg.output_path, {"x": grid, "f_emp": curve.density, "F_emp": curve.cdf})
     print(
         f"wrote empirical curves ({cfg.trials} trials, seed {cfg.seed}) "
@@ -261,19 +271,23 @@ def cmd_compare(cfg: RunConfig) -> int:
         # Theorem-3 mode, both curves empirical, on a grid spanning both
         # spectra; the scaled-adjacency reference takes the det columns so
         # the CSV schema stays fixed
-        _check_grid_settings(cfg)  # before sampling
+        check_grid(cfg.grid_points, cfg.margin)  # before sampling
+        if cfg.epsilon is not None:
+            check_epsilon(cfg.epsilon)
+        _check_output(cfg.output_path)
         ref, pooled = theorem3_spectra(spec, cfg.seed, cfg.trials)
         lo = min(ref.eigenvalues[0], pooled.eigenvalues[0])
         hi = max(ref.eigenvalues[-1], pooled.eigenvalues[-1])
         grid = span_grid(lo, hi, cfg.grid_points, cfg.margin)
         eps = _epsilon(cfg, grid)
-        det = _smoothed_curve("reference (scaled adjacency)", ref, grid, eps)
+        det = _cdf("reference (scaled adjacency)", smoothed_density(ref, grid, eps))
     else:
         problem = build_problem(spec)
         grid, eps = _grid_and_eps(cfg, problem)
+        _check_output(cfg.output_path)
         det = _deterministic_curves(problem, grid, eps)
         pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials)
-    emp = _smoothed_curve("empirical", pooled, grid, eps)
+    emp = _cdf("empirical", smoothed_density(pooled, grid, eps))
     report = compare_curves(det, emp)
     _write_csv(cfg.output_path, {
         "x": grid, "f_det": det.density, "F_det": det.cdf,
@@ -290,7 +304,7 @@ def cmd_oracle(cfg: RunConfig, z_list: list[complex] | None) -> int:
     spec = cfg.spec()
     check_size("oracle", node_count(spec), ORACLE_NODE_LIMIT)  # before the 2^D branches
     problem = build_problem(spec)
-    zs = z_list if z_list else oracle_z_grid()
+    zs = z_list if z_list is not None else oracle_z_grid()
     alphas = solve_alpha(problem, np.array(zs)).alpha_principal
     worst = 0.0
     for z, s_scalar in zip(zs, alphas):
@@ -343,7 +357,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(cfg)
         if args.command == "oracle":
-            zs = _parse_z_list(args.z) if args.z else None
+            zs = _parse_z_list(args.z) if args.z is not None else None
             return cmd_oracle(cfg, zs)
         # the parser admits only the five subcommands
         return cmd_conditions(cfg)

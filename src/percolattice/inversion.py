@@ -123,10 +123,10 @@ def check_grid(points: int, margin: float) -> None:
 
 
 def auto_grid(problem: CanonicalProblem, points: int, margin: float) -> np.ndarray:
-    """Uniform grid covering all branch values with variance-scaled margins."""
-    check_grid(points, margin)
+    """The span grid of all branch values, padded by margin + 4 sigma."""
+    check_grid(points, margin)  # so its errors name the caller's margin
     w = margin + 4.0 * math.sqrt(problem.variance_sum)
-    return np.linspace(float(problem.atoms.min()) - w, float(problem.atoms.max()) + w, points)
+    return span_grid(problem.atoms.min(), problem.atoms.max(), points, w)
 
 
 def span_grid(lo: float, hi: float, points: int, margin: float) -> np.ndarray:

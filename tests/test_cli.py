@@ -355,6 +355,12 @@ class TestUnusedSettings:
         ("compare", ["--epsilon", "1e300"], "epsilon=1e+300 is too large: epsilon^2 overflows"),
         ("compare", ["--epsilon", "1e300", "--normalized"],
          "epsilon=1e+300 is too large: epsilon^2 overflows"),
+        # a default epsilon whose square overflows used to be refused only
+        # at the first smoothing, after every trial was sampled and solved
+        ("simulate", ["--margin", "1e300", "--grid-points", "16"],
+         "epsilon=2.67e+299 is too large: epsilon^2 overflows"),
+        ("compare", ["--margin", "1e300", "--grid-points", "16"],
+         "epsilon=2.67e+299 is too large: epsilon^2 overflows"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):
@@ -369,6 +375,28 @@ class TestUnusedSettings:
         assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["solve"], ["simulate"], ["compare"],
+                                         ["compare", "--normalized"]], ids=" ".join)
+    @pytest.mark.parametrize("target, reason", [("missing/o.csv", "No such file or directory"),
+                                                ("", "Is a directory")],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_checked_before_any_work(self, tmp_path, monkeypatch,
+                                                          capsys, command, target, reason):
+        # an unwritable --output used to be refused only at the CSV write,
+        # after every trial was sampled and every deterministic point solved
+        def no_work(*args):
+            raise AssertionError("sampled or solved")
+
+        monkeypatch.setattr(percolation, "sample", no_work)
+        monkeypatch.setattr(cli, "solve_alpha", no_work)
+        out = tmp_path / target
+        assert main([*command, "--dims", "3,4", "--probs", "0.7,0.5",
+                     "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRightEdgeMass:
@@ -570,7 +598,8 @@ class TestOracle:
     def test_size_limit(self):
         assert main(["oracle", "--dims", "30,50", "--probs", "0.7,0.5"]) == 2
 
-    @pytest.mark.parametrize("z", ["inf+1i", "0.2+0.5i, 1+x"])
+    # an empty --z used to run the default grid and exit 0
+    @pytest.mark.parametrize("z", ["inf+1i", "0.2+0.5i, 1+x", ""])
     def test_bad_z_names_the_typed_token(self, capsys, z):
         # the i -> j rewrite used to show up in the message: 'jnf+1j'
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", z]) == 1

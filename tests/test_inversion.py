@@ -179,6 +179,18 @@ class TestAutoGrid:
         with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
             auto_grid(prob, 100, margin=margin)
 
+    @pytest.mark.parametrize("dims, probs", [
+        ((30, 50), (0.7, 0.5)),
+        ((10, 10, 20), (0.8, 0.7, 0.6)),
+        ((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2)),
+    ])
+    def test_is_the_padded_linspace(self, dims, probs):
+        # auto_grid is span_grid of the branch values padded by margin + 4 sigma
+        prob = build_problem(LatticeSpec(dims, probs))
+        w = 0.1 + 4.0 * np.sqrt(prob.variance_sum)
+        expected = np.linspace(prob.atoms.min() - w, prob.atoms.max() + w, 2000)
+        assert auto_grid(prob, 2000, margin=0.1).tobytes() == expected.tobytes()
+
 
 class TestSpanGrid:
     @pytest.mark.parametrize("lo, hi, margin", [(0.0, 0.0, 0.0), (1e20, 1e20, 1.0)])

@@ -199,13 +199,17 @@ def _check_output(path: str) -> None:
 
 def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     names = list(columns)
-    # Python floats and one row format: the bytes of f"{v:.17g}" per value
-    rows = zip(*(np.asarray(columns[n]).tolist() for n in names))
-    line = ",".join(["{:.17g}"] * len(names)) + "\n"
+    table = np.column_stack([np.asarray(columns[n]) for n in names])
+    # one % operation per block of rows, on Python floats: "%.17g" % v has
+    # the bytes of f"{v:.17g}"
+    line = ",".join(["%.17g"] * len(names)) + "\n"
+    block = 4096
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(names) + "\n")
-            fh.writelines(line.format(*row) for row in rows)
+            for r in range(0, len(table), block):
+                rows = table[r : r + block]
+                fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
 

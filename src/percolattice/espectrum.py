@@ -82,13 +82,17 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
 def row_normalized_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Spectrum of Delta^{-1} A for a 0/1 adjacency A, via D^{-1/2} A D^{-1/2}.
 
-    Isolated nodes contribute exact zeros.
+    Isolated nodes contribute exact zeros.  A node of degree <= 0 with a
+    nonzero entry in its row or column is rejected, since dropping it would
+    solve a different matrix; the rest is checked by eigenvalues.
     """
     a = np.asarray(matrix, dtype=float)
     if a.shape != (len(a), len(a)):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     deg = a.sum(axis=1)
     live = deg > 0
+    if np.any(a[~live]) or np.any(a[:, ~live]):
+        raise ValueError("a node of degree <= 0 has a nonzero entry in its row or column")
     s = 1.0 / np.sqrt(deg[live])
     # scaled and solved in the one copy that indexing makes
     sub = a[np.ix_(live, live)]
@@ -109,11 +113,17 @@ def pool(spectra) -> EmpiricalSpectrum:
     return EmpiricalSpectrum(np.sort(np.concatenate(spectra)))
 
 
-def esd_cdf(spectrum: EmpiricalSpectrum, x):
-    """Fraction of eigenvalues <= x (right-continuous step function)."""
+def _nonempty(spectrum: EmpiricalSpectrum) -> np.ndarray:
+    """The spectrum's eigenvalues, refused when there are none."""
     vals = spectrum.eigenvalues
     if len(vals) == 0:
         raise ValueError("empty spectrum")
+    return vals
+
+
+def esd_cdf(spectrum: EmpiricalSpectrum, x):
+    """Fraction of eigenvalues <= x (right-continuous step function)."""
+    vals = _nonempty(spectrum)
     counts = np.searchsorted(vals, x, side="right")
     return counts / len(vals)
 
@@ -123,7 +133,7 @@ def empirical_stieltjes(spectrum: EmpiricalSpectrum, z: complex) -> complex:
     z = complex(z)
     if z.imag == 0:
         raise ValueError("Stieltjes transform requires Im z != 0")
-    return complex(np.mean(1.0 / (spectrum.eigenvalues - z)))
+    return complex(np.mean(1.0 / (_nonempty(spectrum) - z)))
 
 
 def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: float):
@@ -138,8 +148,8 @@ def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: flo
     the block size.
     """
     check_epsilon(epsilon)
+    vals = _nonempty(spectrum)
     grid = np.asarray(grid, dtype=float)
-    vals = spectrum.eigenvalues
     dens = np.zeros_like(grid)
     # the chunk length fixes the pairwise-summation tree of every grid point
     step = max(1, 10_000_000 // max(1, len(grid)))

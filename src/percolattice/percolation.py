@@ -14,6 +14,7 @@ import numpy as np
 
 from .lattice import (
     DENSE_NODE_LIMIT,
+    _ROW_CHUNK,
     LatticeSpec,
     _write_links,
     check_size,
@@ -47,11 +48,18 @@ def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
 
     `edges` is supergraph_edges(spec), passed in when many samples of one
     spec are drawn; left out, the links are listed for this draw alone.
+    The uniforms are drawn one chunk of listing rows at a time; successive
+    `random` calls continue one Philox stream, so row k still meets the
+    stream's k-th value and the kept rows do not depend on the chunk size.
     """
     edges = supergraph_edges(spec) if edges is None else edges
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    u = rng.random(edges.shape[0])
-    return PercolationSample(spec=spec, edges=edges[u < np.asarray(spec.probs)[edges[:, 2]]])
+    probs = np.asarray(spec.probs)
+    keep = np.empty(len(edges), dtype=bool)
+    for k in range(0, len(edges), _ROW_CHUNK):
+        rows = edges[k : k + _ROW_CHUNK]
+        np.less(rng.random(len(rows)), probs[rows[:, 2]], out=keep[k : k + len(rows)])
+    return PercolationSample(spec=spec, edges=edges[keep])
 
 
 def adjacency(sample: PercolationSample) -> np.ndarray:

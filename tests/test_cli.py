@@ -232,12 +232,14 @@ class TestCsvWriter:
             for row in zip(*arrays):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-    @pytest.mark.parametrize("ncols", [1, 3, 5])
-    def test_bytes_match_per_value_format(self, tmp_path, ncols):
+    # 5000 random rows: the last block of 4096 rows is a partial one
+    @pytest.mark.parametrize("ncols, nrandom", [(1, 50), (3, 50), (5, 50), (3, 5000)],
+                             ids=["1", "3", "5", "3-5000rows"])
+    def test_bytes_match_per_value_format(self, tmp_path, ncols, nrandom):
         rng = np.random.default_rng(ncols)
         values = np.array(self.SPECIAL + (-np.array(self.SPECIAL)).tolist())
         columns = {
-            f"c{k}": np.concatenate([np.roll(values, k), rng.normal(size=50) * 10.0**k])
+            f"c{k}": np.concatenate([np.roll(values, k), rng.normal(size=nrandom) * 10.0**k])
             for k in range(ncols)
         }
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"

@@ -249,6 +249,17 @@ class TestEsdCdf:
         assert np.all(np.diff(vals) >= 0)
 
 
+@pytest.mark.parametrize("read", [
+    lambda s: esd_cdf(s, 0.0),
+    lambda s: empirical_stieltjes(s, 1j),
+    lambda s: smoothed_density(s, np.linspace(-1.0, 1.0, 5), 0.1),
+], ids=["esd_cdf", "empirical_stieltjes", "smoothed_density"])
+def test_empty_spectrum_is_refused(read):
+    # the last two used to warn and return NaN
+    with pytest.raises(ValueError, match="empty spectrum"):
+        read(EmpiricalSpectrum(np.array([])))
+
+
 class TestAveraging:
     """The pooled CDF is the pointwise mean of the per-spectrum CDFs."""
 
@@ -423,6 +434,12 @@ class TestSpectralRanges:
         path = np.zeros((3, 3))
         path[0, 1] = path[1, 0] = 1.0
         assert np.allclose(row_normalized_eigenvalues(path), [-1, 0, 1], atol=1e-15)
+
+    @pytest.mark.parametrize("matrix", [[[0.0, -1.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    def test_row_normalized_rejects_entries_at_degree_zero(self, matrix):
+        # the node of degree <= 0 used to be dropped and the rest solved: [0, 0] for both
+        with pytest.raises(ValueError, match="degree <= 0 has a nonzero entry"):
+            row_normalized_eigenvalues(np.array(matrix))
 
     def test_row_normalized_rejects_non_square(self):
         with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):

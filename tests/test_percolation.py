@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from percolattice.canonical import build_problem, variance_matrix
 from percolattice.espectrum import row_normalized_eigenvalues, trial_seed
 from percolattice.lattice import (
+    _ROW_CHUNK,
     LatticeSpec,
+    _write_links,
     expected_degree,
     expected_matrix,
+    node_count,
     supergraph_edges,
 )
 from percolattice.percolation import adjacency, girko_conditions, sample
@@ -79,6 +84,64 @@ class TestSampling:
             rate = kept[d] / (per_dim_total[d] * 1000)
             se = np.sqrt(p * (1 - p) / (per_dim_total[d] * 1000))
             assert abs(rate - p) <= 3 * se
+
+
+class TestChunkedDrawAndAssembly:
+    """sample and _write_links work in chunks of _ROW_CHUNK listing rows, with
+    the bits of the one-shot draw and scatter kept here as references."""
+
+
+    @staticmethod
+    def _one_shot_draw(spec, seed, edges):
+        rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
+        return edges[rng.random(len(edges)) < np.asarray(spec.probs)[edges[:, 2]]]
+
+    @staticmethod
+    def _one_shot_scatter(spec, edges, per_dim):
+        n = node_count(spec)
+        i, j = edges[:, 0] - 1, edges[:, 1] - 1
+        a = np.zeros((n, n))
+        a[i, j] = a[j, i] = np.asarray(per_dim, dtype=float)[edges[:, 2]]
+        return a
+
+    # (full chunks, rows left over): under one chunk, exactly two, seven and a part
+    @pytest.mark.parametrize("spec, chunks", [
+        (LatticeSpec((4, 5), (0.7, 0.5)), (0, 70)),
+        (LatticeSpec((2, 128), (0.6, 0.4)), (2, 0)),
+        (LatticeSpec((30, 50), (0.7, 0.5)), (7, 1156)),
+    ], ids=["70", "16384", "58500"])
+    def test_bits_match_the_one_shot_references(self, spec, chunks):
+        edges = supergraph_edges(spec)
+        assert divmod(len(edges), _ROW_CHUNK) == chunks
+        for seed in (0, trial_seed(42, 1)):
+            s = sample(spec, seed, edges)
+            want = self._one_shot_draw(spec, seed, edges)
+            assert s.edges.dtype == want.dtype and np.array_equal(s.edges, want)
+            ref = self._one_shot_scatter(spec, want, [1.0] * spec.ndim)
+            assert adjacency(s).tobytes() == ref.tobytes()
+        # every listing row written, so the chunks end where the listing does
+        per_dim = [p / expected_degree(spec) for p in spec.probs]
+        assert (_write_links(spec, edges, per_dim).tobytes()
+                == self._one_shot_scatter(spec, edges, per_dim).tobytes())
+
+    def test_draw_and_assembly_hold_no_per_link_temporaries(self):
+        # beyond the listing, the kept rows and the matrix, the one-shot draw
+        # and scatter held ~16 B more per kept link (the uniforms, the
+        # probability gather, the index columns, the value gather): 16.1 MiB
+        # at 1.05M kept links here; chunked, the rest is one chunk's, 0.25 MiB
+        spec = LatticeSpec((2048,), (0.5,))
+        sample(LatticeSpec((4, 5), (0.7, 0.5)), 0)  # numpy.random loads outside the trace
+        tracemalloc.start()
+        try:
+            edges = supergraph_edges(spec)
+            tracemalloc.reset_peak()
+            s = sample(spec, 3, edges)
+            a = adjacency(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(edges) == 2048 * 2047 // 2
+        assert peak - (edges.nbytes + s.edges.nbytes + a.nbytes) < 2 * 2**20
 
 
 class TestMatrices:

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from .canonical import (
     oracle_z_grid,
     solve_alpha,
 )
-from .espectrum import monte_carlo_spectrum, smoothed_density, theorem3_spectra
+from .espectrum import check_trials, monte_carlo_spectrum, smoothed_density
+from .espectrum import theorem3_spectra
 from .inversion import auto_grid, cdf_from_density, check_epsilon, check_grid
 from .inversion import default_epsilon, density_curve, span_grid
 from .lattice import ORACLE_NODE_LIMIT, LatticeSpec, SizeLimitError, check_size
@@ -52,54 +52,41 @@ def _split(name: str, text: str, convert) -> tuple:
         raise ValueError(f"bad {name} {text!r}: {exc}") from exc
 
 
-def _parse_dims(value) -> tuple[int, ...]:
-    """A comma-separated string such as "30,50", or a JSON list of integers."""
-    if isinstance(value, str):
-        return _split("dims", value, int)
-    if isinstance(value, list) and all(is_integral(v) for v in value):
-        return tuple(int(v) for v in value)
-    raise ValueError(f"dims must be a list of integers, got {value!r}")
-
-
-def _parse_probs(value) -> tuple[float, ...]:
-    """A comma-separated string such as "0.7,0.5", or a JSON list of numbers."""
-    if isinstance(value, str):
-        return _split("probs", value, float)
-    if isinstance(value, list) and all(_is_number(v) for v in value):
-        return tuple(float(v) for v in value)
-    raise ValueError(f"probs must be a list of numbers, got {value!r}")
-
-
 # The parsers check types only; a range is checked where the setting is
 # used, so a command does not reject a setting it ignores.
-def _parse_int(name: str, value) -> int:
-    if not is_integral(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _checked(wording: str, accepts, convert):
+    """A parser of one value that `accepts` takes; it names the setting otherwise."""
+    def parse(name: str, value):
+        if not accepts(value):
+            raise ValueError(f"{name} must be {wording}, got {value!r}")
+        return convert(value)
+    return parse
 
 
-def _parse_margin(value) -> float:
-    if not _is_number(value):
-        raise ValueError(f"margin must be a finite number >= 0, got {value!r}")
-    return float(value)
+def _listed(wording: str, accepts, convert):
+    """A parser of a comma-separated string, or of a JSON list of values `accepts` takes."""
+    def parse(name: str, value) -> tuple:
+        if isinstance(value, str):
+            return _split(name, value, convert)
+        if isinstance(value, list) and all(accepts(v) for v in value):
+            return tuple(convert(v) for v in value)
+        raise ValueError(f"{name} must be {wording}, got {value!r}")
+    return parse
 
 
-def _parse_epsilon(value):
+def _parse_epsilon(name: str, value):
     """'auto' (or null) or a width."""
     if value is None or value == "auto":
         return None
     if isinstance(value, bool):
-        raise ValueError(f"epsilon must be a number or 'auto', got {value!r}")
+        raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad epsilon {value!r}") from exc
+        raise ValueError(f"bad {name} {value!r}") from exc
 
 
-def _parse_typed(name: str, kind: type, wording: str, value):
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {wording}, got {value!r}")
-    return value
+_integer = _checked("an integer", is_integral, int)
 
 
 def _parsed(default=MISSING, *, parse):
@@ -110,17 +97,17 @@ def _parsed(default=MISSING, *, parse):
 class RunConfig:
     """One run's settings; each field's parser checks a flag or a JSON value."""
 
-    dims: tuple[int, ...] = _parsed(parse=_parse_dims)
-    probs: tuple[float, ...] = _parsed(parse=_parse_probs)
-    trials: int = _parsed(50, parse=partial(_parse_int, "trials"))
-    seed: int = _parsed(0, parse=partial(_parse_int, "seed"))
-    grid_points: int = _parsed(2000, parse=partial(_parse_int, "grid_points"))
-    margin: float = _parsed(0.1, parse=_parse_margin)
+    dims: tuple[int, ...] = _parsed(parse=_listed("a list of integers", is_integral, int))
+    probs: tuple[float, ...] = _parsed(parse=_listed("a list of numbers", _is_number, float))
+    trials: int = _parsed(50, parse=_integer)
+    seed: int = _parsed(0, parse=_integer)
+    grid_points: int = _parsed(2000, parse=_integer)
+    margin: float = _parsed(0.1, parse=_checked("a finite number >= 0", _is_number, float))
     epsilon: float | None = _parsed(None, parse=_parse_epsilon)  # None: 2x grid spacing
     normalized: bool = _parsed(
-        False, parse=partial(_parse_typed, "normalized", bool, "true or false"))
+        False, parse=_checked("true or false", lambda v: isinstance(v, bool), bool))
     output_path: str = _parsed(
-        "curves.csv", parse=partial(_parse_typed, "output_path", str, "a string"))
+        "curves.csv", parse=_checked("a string", lambda v: isinstance(v, str), str))
 
     def spec(self) -> LatticeSpec:
         return LatticeSpec(dims=self.dims, probs=self.probs)
@@ -174,7 +161,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[f.name] = flag
         if f.name in values:
-            values[f.name] = f.metadata["parse"](values[f.name])
+            values[f.name] = f.metadata["parse"](f.name, values[f.name])
     if "dims" not in values or "probs" not in values:
         raise ValueError("dims and probs are required (flags or config file)")
     cfg = RunConfig(**values)
@@ -221,9 +208,17 @@ def _epsilon(cfg: RunConfig, grid) -> float:
     return eps
 
 
-def _grid_and_eps(cfg: RunConfig, problem):
+def _prepare(cfg: RunConfig):
+    """The problem, its auto grid and the run's epsilon, with --output checked.
+
+    The one pre-work of solve, simulate and plain compare: it refuses their
+    grid, epsilon and output settings before any solve or draw.
+    """
+    problem = build_problem(cfg.spec())
     grid = auto_grid(problem, points=cfg.grid_points, margin=cfg.margin)
-    return grid, _epsilon(cfg, grid)
+    eps = _epsilon(cfg, grid)
+    _check_output(cfg.output_path)
+    return problem, grid, eps
 
 
 def _cdf(label: str, density):
@@ -242,9 +237,7 @@ def _deterministic_curves(problem, grid, eps):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    problem = build_problem(cfg.spec())
-    grid, eps = _grid_and_eps(cfg, problem)
-    _check_output(cfg.output_path)
+    problem, grid, eps = _prepare(cfg)
     curve = _deterministic_curves(problem, grid, eps)
     _write_csv(cfg.output_path, {"x": grid, "f_det": curve.density, "F_det": curve.cdf})
     print(f"wrote deterministic curves to {cfg.output_path} (epsilon={eps:.6g})")
@@ -255,11 +248,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.normalized:
         raise ValueError("normalized is a compare mode: its grid spans the "
                          "scaled-adjacency reference; use compare --normalized")
-    spec = cfg.spec()
-    problem = build_problem(spec)
-    grid, eps = _grid_and_eps(cfg, problem)
-    _check_output(cfg.output_path)
-    pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials)
+    problem, grid, eps = _prepare(cfg)
+    pooled = monte_carlo_spectrum(problem.spec, cfg.seed, cfg.trials)
     curve = _cdf("empirical", smoothed_density(pooled, grid, eps))
     _write_csv(cfg.output_path, {"x": grid, "f_emp": curve.density, "F_emp": curve.cdf})
     print(
@@ -270,7 +260,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    spec = cfg.spec()
     if cfg.normalized:
         # Theorem-3 mode, both curves empirical, on a grid spanning both
         # spectra; the scaled-adjacency reference takes the det columns so
@@ -279,18 +268,17 @@ def cmd_compare(cfg: RunConfig) -> int:
         if cfg.epsilon is not None:
             check_epsilon(cfg.epsilon)
         _check_output(cfg.output_path)
-        ref, pooled = theorem3_spectra(spec, cfg.seed, cfg.trials)
+        ref, pooled = theorem3_spectra(cfg.spec(), cfg.seed, cfg.trials)
         lo = min(ref.eigenvalues[0], pooled.eigenvalues[0])
         hi = max(ref.eigenvalues[-1], pooled.eigenvalues[-1])
         grid = span_grid(lo, hi, cfg.grid_points, cfg.margin)
         eps = _epsilon(cfg, grid)
         det = _cdf("reference (scaled adjacency)", smoothed_density(ref, grid, eps))
     else:
-        problem = build_problem(spec)
-        grid, eps = _grid_and_eps(cfg, problem)
-        _check_output(cfg.output_path)
+        problem, grid, eps = _prepare(cfg)
+        check_trials(problem.spec, cfg.seed, cfg.trials)  # before the deterministic solve
         det = _deterministic_curves(problem, grid, eps)
-        pooled = monte_carlo_spectrum(spec, cfg.seed, cfg.trials)
+        pooled = monte_carlo_spectrum(problem.spec, cfg.seed, cfg.trials)
     emp = _cdf("empirical", smoothed_density(pooled, grid, eps))
     report = compare_curves(det, emp)
     _write_csv(cfg.output_path, {

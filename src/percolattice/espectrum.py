@@ -29,6 +29,14 @@ class EmpiricalSpectrum:
     eigenvalues: np.ndarray
 
 
+def _square(matrix) -> np.ndarray:
+    """The matrix as an array, refused unless it is N x N."""
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
+
+
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric real matrix, ascending.
 
@@ -37,27 +45,27 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     transpose of its mirror tile.  The eigenvalues are those of the lower
     triangle, with the bits of np.linalg.eigvalsh.
 
-    A writeable C-contiguous float64 matrix is consumed: LAPACK dsyevd
-    uses it as its workspace instead of a private copy, and its contents
-    are undefined afterwards, also after a rejection.  LAPACK reads that
-    buffer's upper triangle, so each tile on or above the diagonal is
-    overwritten with its checked mirror first.  Other input is left alone:
-    another dtype is solved in its float64 conversion, and Fortran-ordered,
-    strided or read-only input, like all input where numpy does not bundle
-    that OpenBLAS, in eigvalsh's own copy.  Spectra of row-normalized
-    matrices go through row_normalized_eigenvalues, which handles the
-    similarity reduction.
+    Where numpy bundles scipy-openblas (see _openblas), its LAPACK dsyevd
+    works in one writeable C-contiguous float64 buffer instead of
+    eigvalsh's private copy: a matrix that is one is consumed, its contents
+    undefined afterwards, also after a rejection; any other input is left
+    alone and solved in such a copy.  LAPACK reads the buffer's upper
+    triangle, so each tile on or above the diagonal is overwritten with its
+    checked mirror first.  Elsewhere every input goes through eigvalsh.
+    Spectra of row-normalized matrices go through row_normalized_eigenvalues,
+    which handles the similarity reduction.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+    matrix = _square(matrix)
+    n = len(matrix)
     check_size("dense eigensolve", n, EIGENSOLVE_LIMIT)
-    solve = None
-    if matrix.flags.c_contiguous and matrix.flags.writeable:
-        # imported here, so a process that never solves in place does not load it
-        from . import _openblas
-        solve = _openblas.in_place_eigvalsh()
+    # imported here, so a process that never solves does not load it
+    from . import _openblas
+    solve = _openblas.in_place_eigvalsh()
+    if solve is None:
+        matrix = np.asarray(matrix, dtype=float)
+    else:
+        # the matrix itself where it can be consumed, else one copy
+        matrix = np.require(matrix, dtype=float, requirements="CW")
     side = _SYMMETRY_TILE
     buf = np.empty((min(n, side), min(n, side)))
     for r in range(0, n, side):
@@ -86,9 +94,7 @@ def row_normalized_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     nonzero entry in its row or column is rejected, since dropping it would
     solve a different matrix; the rest is checked by eigenvalues.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.shape != (len(a), len(a)):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = np.asarray(_square(matrix), dtype=float)
     deg = a.sum(axis=1)
     live = deg > 0
     if np.any(a[~live]) or np.any(a[:, ~live]):
@@ -178,22 +184,27 @@ def trial_seed(seed: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def map_trials(spec, seed: int, trials: int, solve) -> list:
-    """solve(adjacency(sample(spec, trial_seed(seed, t)))) for each trial t, in trial order.
-
-    The dense-eigensolve size, the trial count and the seed are checked
-    before the first draw.  The supergraph is then listed once, and every
-    trial draws from that int32 listing: only its Philox stream is its own.
-    A trial's sample is dropped once its matrix is built, and the matrix once
-    `solve` returns, so a run with an in-place solve holds one dense N x N matrix.
-    """
-    # looked up at call time, so a wrapper in percolation sees every draw and the listing
-    from .percolation import sample as draw, supergraph_edges
+def check_trials(spec, seed: int, trials: int) -> None:
+    """Refuse a dense eigensolve over its size cap, fewer than one trial or a negative seed."""
     check_size("dense eigensolve", node_count(spec), EIGENSOLVE_LIMIT)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def map_trials(spec, seed: int, trials: int, solve) -> list:
+    """solve(adjacency(sample(spec, trial_seed(seed, t)))) for each trial t, in trial order.
+
+    check_trials refuses the run before the first draw.  The supergraph is
+    then listed once, and every trial draws from that int32 listing: only its
+    Philox stream is its own.
+    A trial's sample is dropped once its matrix is built, and the matrix once
+    `solve` returns, so a run with an in-place solve holds one dense N x N matrix.
+    """
+    # looked up at call time, so a wrapper in percolation sees every draw and the listing
+    from .percolation import sample as draw, supergraph_edges
+    check_trials(spec, seed, trials)
     edges = supergraph_edges(spec)
     return [solve(adjacency(draw(spec, trial_seed(seed, t), edges))) for t in range(trials)]
 

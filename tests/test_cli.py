@@ -363,13 +363,17 @@ class TestUnusedSettings:
          "epsilon=2.67e+299 is too large: epsilon^2 overflows"),
         ("compare", ["--margin", "1e300", "--grid-points", "16"],
          "epsilon=2.67e+299 is too large: epsilon^2 overflows"),
+        # plain compare used to check its Monte Carlo settings only after
+        # its deterministic solve
+        ("compare", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):
-        def no_sampling(spec, seed):
-            raise AssertionError("sampled")
+        def no_work(*args):
+            raise AssertionError("sampled or solved")
 
-        monkeypatch.setattr(percolation, "sample", no_sampling)
+        monkeypatch.setattr(percolation, "sample", no_work)
+        monkeypatch.setattr(cli, "solve_alpha", no_work)
         out = tmp_path / "o.csv"
         assert main([command, "--dims", "3,4", "--probs", "0.7,0.5", *flags,
                      "--output", str(out)]) == 1
@@ -476,6 +480,22 @@ class TestSizeGates:
         assert main(argv + ["--output", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"size limit: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_compare_refuses_the_eigensolve_before_solving(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # plain compare used to solve its whole deterministic grid first
+        def no_work(*args):
+            raise AssertionError("sampled or solved")
+
+        monkeypatch.setattr(percolation, "sample", no_work)
+        monkeypatch.setattr(cli, "solve_alpha", no_work)
+        out = tmp_path / "o.csv"
+        assert main(["compare", "--dims", "70,70", "--probs", "0.9,0.7",
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "size limit: dense eigensolve refused for N=4900 > 4000\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -57,7 +57,7 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="symmetric within tolerance 1e-12"):
             eigenvalues(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
-    # read-only input takes the copying path, writeable input the in-place one
+    # read-only input is solved in a copy, writeable input in its own buffer
     def test_rejects_asymmetry_in_last_strip(self):
         _check_asymmetry_in_last_strip(_read_only)
 
@@ -79,12 +79,15 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="symmetric within tolerance 1e-12"):
             eigenvalues(a)
 
-    def test_workspace_is_bounded(self):
+    def test_workspace_is_bounded(self, monkeypatch):
         # the whole-matrix check held two N x N temporaries (36 MB at N=1500),
         # and a 128-row strip of it 1.5 MB; a tile is 128 KiB
         a = np.random.default_rng(3).normal(size=(1500, 1500))
         a += a.T
-        a.flags.writeable = False  # the copying path
+        # the eigvalsh route, whose copy tracemalloc does not see: the check's
+        # tile is the only traced workspace (the in-place route's own bound,
+        # with LAPACK's workspace, is TestInPlaceEigenvalues')
+        monkeypatch.setattr(_openblas, "in_place_eigvalsh", lambda: None)
         tracemalloc.start()
         try:
             eigenvalues(a)
@@ -92,6 +95,13 @@ class TestEigenvalues:
         finally:
             tracemalloc.stop()
         assert peak <= 512 * 2**10
+
+    @pytest.mark.parametrize("matrix", [np.ones((3, 4)), np.float64(1.0)],
+                             ids=["2-d", "0-d"])
+    def test_rejects_non_square(self, matrix):
+        # a 0-d input used to raise IndexError: tuple index out of range
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape \("):
+            eigenvalues(matrix)
 
     def test_rejects_oversize(self):
         with pytest.raises(SizeLimitError, match="refused"):
@@ -177,12 +187,21 @@ class TestInPlaceEigenvalues:
         _read_only,
         lambda a: a.astype(np.float32),  # solved in place on its float64 copy
     ], ids=["fortran", "strided", "read-only", "float32"])
-    def test_leaves_other_input_alone(self, make):
+    def test_leaves_other_input_alone(self, monkeypatch, make):
         m = make(_near_symmetric(150, 7))
         before = m.copy()
         want = np.linalg.eigvalsh(np.asarray(m, dtype=float))
+        # where the binding loads, it solves a copy instead of eigvalsh
+        solve, calls = _openblas.in_place_eigvalsh(), []
+        if solve is not None:
+            def spy(matrix):
+                calls.append(matrix.shape)
+                return solve(matrix)
+
+            monkeypatch.setattr(_openblas, "in_place_eigvalsh", lambda: spy)
         _assert_same_bits(eigenvalues(m), want)
         assert np.array_equal(m, before)
+        assert calls == ([] if solve is None else [(150, 150)])
 
     @pytest.mark.parametrize("matrix", [
         np.eye(3)[:, ::-1], np.eye(3, dtype=np.float32), _read_only(np.eye(3)), np.ones((2, 3)),
@@ -444,6 +463,9 @@ class TestSpectralRanges:
     def test_row_normalized_rejects_non_square(self):
         with pytest.raises(ValueError, match=r"square, got shape \(3, 4\)"):
             row_normalized_eigenvalues(np.ones((3, 4)))
+        # a 0-d input used to raise TypeError: len() of unsized object
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(\)$"):
+            row_normalized_eigenvalues(np.float64(1.0))
 
 
 class TestTrialLoop:

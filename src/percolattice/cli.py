@@ -86,6 +86,17 @@ def _parse_epsilon(name: str, value):
         raise ValueError(f"bad {name} {value!r}") from exc
 
 
+def _parse_z_list(text: str) -> tuple[complex, ...]:
+    out = []
+    for token in text.split(","):
+        typed = token.strip()
+        try:
+            out.append(complex(typed.replace("i", "j")))
+        except ValueError as exc:
+            raise ValueError(f"bad complex value {typed!r}") from exc
+    return tuple(out)
+
+
 _integer = _checked("an integer", is_integral, int)
 
 
@@ -108,6 +119,9 @@ class RunConfig:
         False, parse=_checked("true or false", lambda v: isinstance(v, bool), bool))
     output_path: str = _parsed(
         "curves.csv", parse=_checked("a string", lambda v: isinstance(v, str), str))
+    z: tuple[complex, ...] | None = _parsed(None, parse=_checked(  # None: oracle_z_grid()
+        "a string of comma-separated complex values", lambda v: isinstance(v, str),
+        _parse_z_list))
 
     def spec(self) -> LatticeSpec:
         return LatticeSpec(dims=self.dims, probs=self.probs)
@@ -116,30 +130,6 @@ class RunConfig:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
-
-
-def _parse_z_list(text: str) -> list[complex]:
-    out = []
-    for token in text.split(","):
-        typed = token.strip()
-        try:
-            out.append(complex(typed.replace("i", "j")))
-        except ValueError as exc:
-            raise ValueError(f"bad complex value {typed!r}") from exc
-    return out
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON file with RunConfig keys; flags override")
-    parser.add_argument("--dims", help="comma-separated lattice sizes, e.g. 30,50")
-    parser.add_argument("--probs", help="comma-separated link probabilities, e.g. 0.7,0.5")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--margin", type=float)
-    parser.add_argument("--epsilon", help="smoothing width or 'auto' (2x grid spacing)")
-    parser.add_argument("--normalized", action="store_true", default=None)
-    parser.add_argument("--output", dest="output_path")
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -157,7 +147,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
+        flag = getattr(args, f.name)
         if flag is not None:
             values[f.name] = flag
         if f.name in values:
@@ -292,11 +282,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig, z_list: list[complex] | None) -> int:
+def cmd_oracle(cfg: RunConfig) -> int:
     spec = cfg.spec()
     check_size("oracle", node_count(spec), ORACLE_NODE_LIMIT)  # before the 2^D branches
     problem = build_problem(spec)
-    zs = z_list if z_list is not None else oracle_z_grid()
+    zs = cfg.z if cfg.z is not None else oracle_z_grid()
     alphas = solve_alpha(problem, np.array(zs)).alpha_principal
     worst = 0.0
     for z, s_scalar in zip(zs, alphas):
@@ -305,8 +295,7 @@ def cmd_oracle(cfg: RunConfig, z_list: list[complex] | None) -> int:
         worst = max(worst, diff)
         print(f"z={z:.6g} |solve_alpha - matrix_k1_oracle| = {diff:.3e}")
     if worst > 1e-8:
-        print(f"FAIL: worst disagreement {worst:.3e} exceeds 1e-08")
-        return EXIT_ORACLE
+        raise OracleError(f"worst disagreement {worst:.3e} exceeds 1e-08")
     print(f"OK: worst disagreement {worst:.3e}")
     return EXIT_OK
 
@@ -318,23 +307,37 @@ def cmd_conditions(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "solve": "deterministic CDF/density curves via the canonical system",
+    "simulate": "Monte Carlo empirical CDF/density curves",
+    "compare": "both pipelines on a shared grid, plus distances",
+    "oracle": "scalar solver vs matrix-level canonical iteration",
+    "conditions": "applicability condition values",
+}
+
+
 def build_parser() -> _Parser:
+    """One parser: every command takes every flag, before or after its name."""
     parser = _Parser(
         prog="percolattice",
         description="Deterministic-equivalent spectra of percolated lattice graphs",
+        epilog="commands:\n" + "".join(f"  {name:<12}{text}\n"
+                                       for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solve", "deterministic CDF/density curves via the canonical system"),
-        ("simulate", "Monte Carlo empirical CDF/density curves"),
-        ("compare", "both pipelines on a shared grid, plus distances"),
-        ("oracle", "scalar solver vs matrix-level canonical iteration"),
-        ("conditions", "applicability condition values"),
-    ):
-        p = sub.add_parser(name, help=text)
-        _add_common(p)
-        if name == "oracle":
-            p.add_argument("--z", help="comma-separated complex points, e.g. 0.2+0.7i")
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("--config", help="JSON file with RunConfig keys; flags override")
+    parser.add_argument("--dims", help="comma-separated lattice sizes, e.g. 30,50")
+    parser.add_argument("--probs", help="comma-separated link probabilities, e.g. 0.7,0.5")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--grid-points", type=int, dest="grid_points")
+    parser.add_argument("--margin", type=float)
+    parser.add_argument("--epsilon", help="smoothing width or 'auto' (2x grid spacing)")
+    parser.add_argument("--normalized", action="store_true", default=None)
+    parser.add_argument("--output", dest="output_path")
+    parser.add_argument("--z", help="oracle's comma-separated complex points, e.g. "
+                        "0.2+0.7i (default: its 25-point grid)")
     return parser
 
 
@@ -342,23 +345,18 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "oracle":
-            zs = _parse_z_list(args.z) if args.z is not None else None
-            return cmd_oracle(cfg, zs)
-        # the parser admits only the five subcommands
-        return cmd_conditions(cfg)
-    # SizeLimitError is a ValueError, so it is caught before ValueError
+        # looked up when called, so a rebound cmd_* global is the one that runs
+        return globals()[f"cmd_{args.command}"](cfg)
+    # SizeLimitError and LinAlgError are ValueErrors, so they are caught
+    # before ValueError
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except np.linalg.LinAlgError as exc:
+        print(f"solver failure: eigensolve: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)

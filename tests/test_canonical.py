@@ -202,6 +202,11 @@ class TestSolveAlpha:
         with pytest.raises(ValueError, match="finite"):
             solve_alpha(prob, z)
 
+    def test_rejects_two_dimensional_z(self):
+        prob = build_problem(LatticeSpec((3, 4), (0.5, 0.5)))
+        with pytest.raises(ValueError, match="^solve_alpha takes a scalar or a 1-D array of z$"):
+            solve_alpha(prob, np.full((2, 2), 0.1 + 0.1j))
+
     def test_variance_zero_is_exact_transform(self):
         spec = LatticeSpec((4, 5), (1.0, 1.0))
         prob = build_problem(spec)
@@ -509,6 +514,106 @@ class TestSolutionFormResidual:
             tracemalloc.stop()
         assert residual <= 1e-11
         assert peak <= 40 * 2**20
+
+
+def _strides(spec: LatticeSpec) -> list[int]:
+    """Place values of the node digits, first digit fastest (0-based nodes)."""
+    return [int(np.prod(spec.dims[:d])) for d in range(spec.ndim)]
+
+
+def _neighbours(spec: LatticeSpec, nodes: np.ndarray):
+    """Every supergraph neighbour of each node, (W, degree), and the dimension of each."""
+    cols, dims = [], []
+    for d, (m, stride) in enumerate(zip(spec.dims, _strides(spec))):
+        digit = nodes // stride % m
+        for shift in range(1, m):
+            cols.append(nodes + ((digit + shift) % m - digit) * stride)
+            dims.append(d)
+    return np.stack(cols, axis=-1), np.array(dims)
+
+
+def _distinct_link_weight(spec: LatticeSpec, nodes: np.ndarray, dims: np.ndarray) -> float:
+    """Sum over walks (rows of nodes) of the product of p_d over each walk's distinct links."""
+    n = node_count(spec)
+    u, v = nodes[:, :-1], nodes[:, 1:]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    p = np.array(spec.probs)[dims]
+    for j in range(1, keys.shape[1]):
+        # A is 0/1, so a link walked again costs its p only once
+        p[(keys[:, :j] == keys[:, j : j + 1]).any(axis=1), j] = 1.0
+    return float(p.prod(axis=1).sum())
+
+
+def _exact_moments(spec: LatticeSpec) -> list[float]:
+    """E[(1/N) tr W^k] for k = 2, 3, 4, W = A / gamma, by enumerating closed walks.
+
+    Permuting each dimension's digits maps the model onto itself and any
+    node onto any other, so the mean diagonal entry of W^k is node 0's: the
+    walks of length k - 1 from node 0, each closed by its link back to 0
+    when it ends one digit away, weighted by _distinct_link_weight / gamma^k.
+    """
+    gamma = expected_degree(spec)
+    nodes = np.zeros((1, 1), dtype=np.int64)
+    dims = np.zeros((1, 0), dtype=np.int64)
+    moments = []
+    for k in (2, 3, 4):
+        nbrs, nbr_dims = _neighbours(spec, nodes[:, -1])
+        walks, degree = nbrs.shape
+        nodes = np.column_stack([np.repeat(nodes, degree, axis=0), nbrs.ravel()])
+        dims = np.column_stack([np.repeat(dims, degree, axis=0), np.tile(nbr_dims, walks)])
+        last = nodes[:, -1:]
+        digits = last // np.array(_strides(spec)) % np.array(spec.dims)
+        home = np.count_nonzero(digits, axis=1) == 1
+        closed = np.column_stack([nodes[home], np.zeros(home.sum(), dtype=np.int64)])
+        closed_dims = np.column_stack([dims[home], np.argmax(digits[home] != 0, axis=1)])
+        moments.append(_distinct_link_weight(spec, closed, closed_dims) / gamma**k)
+    return moments
+
+
+def _k1_moments(problem, kmax: int) -> np.ndarray:
+    """K1's moments m_0..m_kmax, from the scalar equation as a power series in u = 1/z.
+
+    With s = -alpha = sum_k m_k u^(k+1), alpha = sum_j w_j / (b_j - z - sigma^2 alpha)
+    reads s = sum_j w_j sum_n u^(n+1) (b_j + sigma^2 s)^n.  Substituting s
+    fixes at least one more coefficient each time.
+    """
+    order = kmax + 2  # coefficients of u^0 .. u^(kmax+1)
+    s = np.zeros(order)
+    for _ in range(order):
+        new = np.zeros(order)
+        for b, w in zip(problem.atoms, problem.weights):
+            base = problem.variance_sum * s
+            base[0] += b
+            power = np.eye(1, order)[0]  # (b + sigma^2 s)^0
+            for n in range(order - 1):
+                new[n + 1 :] += w * power[: order - n - 1]
+                power = np.convolve(power, base)[:order]
+        s = new
+    return s[1:]
+
+
+class TestExactMoments:
+    """K1 against exact expected moments: no eigensolve and no Monte Carlo noise."""
+
+    # the last column is ROADMAP item 8's table of m4: exact - K1
+    @pytest.mark.parametrize("dims, probs, printed", [
+        ((12,), (0.5,), "7.51e-04"),
+        ((6, 8), (0.7, 0.5), "9.91e-05"),
+        ((4, 5, 6), (0.6, 0.5, 0.4), "7.13e-04"),
+        pytest.param((30, 50), (0.7, 0.5), "4.730e-07", id="figure-1a"),
+    ])
+    def test_k1_is_exact_to_m3_and_misses_m4_by_the_closed_form(self, dims, probs, printed):
+        spec = LatticeSpec(dims, probs)
+        m2, m3, m4 = _exact_moments(spec)
+        k1 = _k1_moments(build_problem(spec), 4)
+        assert abs(k1[2] - m2) <= 1e-13 * m2
+        assert abs(k1[3] - m3) <= 1e-13 * m3
+        gap = m4 - k1[4]
+        gamma = expected_degree(spec)
+        closed_form = sum((m - 1) * p * (1 - p) * (1 - p - p * p)
+                          for m, p in zip(dims, probs)) / gamma**4
+        assert abs(gap - closed_form) <= 1e-12 * m4
+        assert f"{gap:.{len(printed.split('e')[0]) - 2}e}" == printed
 
 
 def test_oracle_grid_shape():

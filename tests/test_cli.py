@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from percolattice import cli, espectrum, lattice, percolation
-from percolattice.canonical import SolverError
+from percolattice import _openblas, cli, espectrum, lattice, percolation
+from percolattice.canonical import OracleError, SolverError
 from percolattice.cli import main
 
 
@@ -93,6 +93,9 @@ class TestConfigHandling:
         ("simulate", "seed", -1),
         ("simulate", "margin", -5),
         ("simulate", "epsilon", -1),
+        ("oracle", "z", 0.5),
+        pytest.param("oracle", "z", ["0.2+0.5i"], id="oracle-z-list"),
+        ("solve", "z", None),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, monkeypatch, capsys,
                                               command, key, value):
@@ -210,6 +213,38 @@ class TestConfigHandling:
                      "--output", str(tmp_path)]) == 1
         assert f"config error: cannot write {tmp_path}:" in capsys.readouterr().err
 
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.json"
+        assert main(["solve", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: cannot read config {cfg}: [Errno 2] "
+                                f"No such file or directory: '{cfg}'\n")
+        assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_config_error(self, capsys):
+        # /dev/full opens, so the output check passes, and then every write fails
+        assert main(["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
+                     "--output", "/dev/full"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: cannot write /dev/full: No space left on device\n"
+        assert captured.out == ""
+
+    def test_flags_may_precede_the_command(self, capsys):
+        flags = ["--dims", "4,5", "--probs", "0.7,0.5", "--z", "0.2+0.5i"]
+        assert main(["oracle", *flags]) == 0
+        after = capsys.readouterr()
+        assert main([*flags, "oracle"]) == 0
+        assert capsys.readouterr() == after
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for name, text in cli._COMMANDS.items():
+            assert f"  {name}" in out and text in out
+
     def test_integral_float_config_values_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"dims": [3, 4], "probs": [0.7, 0.5], "trials": 1.0, '
@@ -267,6 +302,28 @@ class TestSolve:
         assert "solver failure" in capsys.readouterr().err
 
 
+class TestEigensolveFailure:
+    # LinAlgError subclasses ValueError: a non-converging eigensolve used to
+    # exit 1 as "config error: Eigenvalues did not converge"
+    @pytest.mark.parametrize("route", ["in-place", "eigvalsh"])
+    def test_non_converging_eigensolve_exits_3(self, tmp_path, monkeypatch, capsys, route):
+        def no_convergence(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        if route == "in-place":
+            monkeypatch.setattr(_openblas, "in_place_eigvalsh", lambda: no_convergence)
+        else:
+            monkeypatch.setattr(_openblas, "in_place_eigvalsh", lambda: None)
+            monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--dims", "3,4", "--probs", "0.7,0.5", "--trials", "1",
+                     "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "solver failure: eigensolve: Eigenvalues did not converge\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_four_cycle_single_trial(self, tmp_path):
         out = tmp_path / "emp.csv"
@@ -308,6 +365,11 @@ class TestUnusedSettings:
          ["--epsilon", "-1"]),
         (["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
           "--output", "o.csv"], ["--seed", "-1"]),
+        (["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
+          "--output", "o.csv"], ["--z", "0.2+0.5i"]),
+        # --epsilon auto is the default: the same bytes as no --epsilon
+        (["solve", "--dims", "3,4", "--probs", "0.7,0.5", "--grid-points", "100",
+          "--output", "o.csv"], ["--epsilon", "auto"]),
     ])
     def test_ignored_setting_is_not_checked(self, tmp_path, monkeypatch, capsys, argv,
                                             ignored):
@@ -366,6 +428,13 @@ class TestUnusedSettings:
         # plain compare used to check its Monte Carlo settings only after
         # its deterministic solve
         ("compare", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        # a value of the wrong type is refused whether or not the command uses it;
+        # the second --dims overrides the first
+        ("solve", ["--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        ("solve", ["--dims", "3,x"],
+         "bad dims '3,x': invalid literal for int() with base 10: 'x'"),
+        ("solve", ["--epsilon", "abc"], "bad epsilon 'abc'"),
+        ("solve", ["--z", "abc"], "bad complex value 'abc'"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):
@@ -627,6 +696,38 @@ class TestOracle:
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", z]) == 1
         typed = z.split(",")[-1].strip()
         assert f"bad complex value {typed!r}" in capsys.readouterr().err
+
+    def test_z_from_config_matches_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": [4, 5], "probs": [0.7, 0.5], "z": "0.2+0.5i"}))
+        assert main(["oracle", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr()
+        assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", "0.2+0.5i"]) == 0
+        assert capsys.readouterr() == from_config
+        assert from_config.out.count("z=") == 1
+
+    @pytest.mark.parametrize("raise_at, lines, message", [
+        (None, 2, "worst disagreement 1.000e-06 exceeds 1e-08"),
+        (-0.3 + 1j, 1, "canonical matrix iteration did not converge at z=(-0.3+1j) "
+                       "(last trace step 1.000e-03)"),
+    ], ids=["disagreement", "oracle-error"])
+    def test_failure_exits_4(self, monkeypatch, capsys, raise_at, lines, message):
+        # a disagreement used to print FAIL: on stdout and return 4 past main's
+        # except clauses; either failure now ends in one line on stderr
+        def off_by_1e6(spec, z):
+            if z == raise_at:
+                raise OracleError(f"canonical matrix iteration did not converge at z={z} "
+                                  "(last trace step 1.000e-03)")
+            return cli.solve_alpha(cli.build_problem(spec), z).alpha_principal + 1e-6, None
+
+        monkeypatch.setattr(cli, "matrix_k1_oracle", off_by_1e6)
+        assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5",
+                     "--z", "0.2+0.5i,-0.3+1i"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "".join(
+            f"z={z} |solve_alpha - matrix_k1_oracle| = 1.000e-06\n"
+            for z in ["0.2+0.5j", "-0.3+1j"][:lines])
+        assert captured.err == f"oracle failure: {message}\n"
 
     def test_at_documented_cap(self, capsys):
         # N=576, D=8: the least-squares residual's 331776 x 256 complex basis

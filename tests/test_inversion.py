@@ -72,6 +72,12 @@ class TestDensityCurve:
         assert info.value.residual > 1e-12
         assert info.value.iterations >= 1
 
+    def test_rejects_transform_off_herglotz_branch(self):
+        # the conjugate of a point mass's transform has Im S < 0 above the axis
+        with pytest.raises(ValueError, match=r"^negative density -3\.183e\+01: "
+                           r"transform is off the Herglotz branch$"):
+            density_curve(lambda z: np.conj(point_mass(0.0)(z)), np.array([0.0]), 0.01)
+
     def test_nonnegative_for_herglotz_input(self):
         grid = np.linspace(-3, 3, 400)
         curve = density_curve(semicircle_transform, grid, 0.01)
@@ -219,6 +225,11 @@ class TestSpectralCurve:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
             SpectralCurve(grid=np.array([0.0, 1.0]), density=np.array([0.1, -0.1]))
+
+    @pytest.mark.parametrize("side", ["cdf", "density"])
+    def test_rejects_wrong_length(self, side):
+        with pytest.raises(ValueError, match=f"^{side} length must match grid$"):
+            SpectralCurve(grid=[0.0, 1.0, 2.0], **{side: [0.0, 1.0]})
 
     # NaN passed every `<` / `>` check, so metrics.compare of such a curve
     # with a finite one returned NaN distances instead of raising

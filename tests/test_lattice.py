@@ -137,6 +137,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"in \(0, 1\]"):
             LatticeSpec((3,), (p,))
 
+    def test_rejects_no_dimension(self):
+        with pytest.raises(ValueError, match="^lattice needs at least one dimension$"):
+            LatticeSpec((), ())
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LatticeSpec((3, 3), (0.5,))
@@ -216,6 +220,11 @@ class TestIndexing:
     def test_encode_rejects_bad_digit(self):
         with pytest.raises(ValueError):
             encode_index(self.spec, (3, 0))
+
+    @pytest.mark.parametrize("digits", [(0,), (0, 0, 0)])
+    def test_encode_rejects_wrong_digit_count(self, digits):
+        with pytest.raises(ValueError, match=f"^expected 2 digits, got {len(digits)}$"):
+            encode_index(self.spec, digits)
 
     @settings(max_examples=50, deadline=None)
     @given(small_specs(), st.data())

@@ -43,6 +43,12 @@ class TestKolmogorov:
         with pytest.raises(ValueError, match="disjoint"):
             compare(a, b)
 
+    def test_rejects_curve_without_cdf(self):
+        a = step_curve(0.0, FINE)
+        density_only = SpectralCurve(grid=FINE, density=np.ones_like(FINE))
+        with pytest.raises(ValueError, match="^both curves must carry CDF values$"):
+            compare(a, density_only)
+
     def test_resamples_mismatched_grids(self):
         ga = np.linspace(-1, 2, 1000)
         gb = np.linspace(-1.5, 2.5, 1379)

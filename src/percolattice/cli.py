@@ -129,6 +129,9 @@ class RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        if message.endswith("expected one argument"):  # -1e-3 or -0.3+1i read as a flag
+            flag = message.split()[1].rstrip(":")
+            message += f" (write a value that starts with '-' as {flag}=VALUE)"
         raise ValueError(message)
 
 

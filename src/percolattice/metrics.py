@@ -1,4 +1,4 @@
-"""Kolmogorov and Levy distances between CDF curves on grids."""
+"""Kolmogorov and Levy distances between two CDF curves on one grid."""
 
 from __future__ import annotations
 
@@ -21,43 +21,32 @@ def _step_eval(grid: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
     return cdf[np.maximum(np.searchsorted(grid, x, side="right") - 1, 0)]
 
 
-def _shared_grid(a: SpectralCurve, b: SpectralCurve) -> np.ndarray:
-    """Every grid point of either curve inside both spans."""
-    if a.cdf is None or b.cdf is None:
-        raise ValueError("both curves must carry CDF values")
-    lo = max(a.grid[0], b.grid[0])
-    hi = min(a.grid[-1], b.grid[-1])
-    if lo > hi:
-        raise ValueError("curve grids have disjoint spans")
-    # np.union1d's points, without the numpy.ma import of its np.unique
-    pts = np.sort(np.concatenate((a.grid, b.grid)))
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    return pts[np.diff(pts, prepend=-np.inf) > 0]
-
-
-def _levy_feasible(a: SpectralCurve, fb: np.ndarray, grid: np.ndarray, eps: float) -> bool:
-    lo = _step_eval(a.grid, a.cdf, grid - eps) - eps
-    hi = _step_eval(a.grid, a.cdf, grid + eps) + eps
+def _levy_feasible(a: SpectralCurve, fb: np.ndarray, eps: float) -> bool:
+    lo = _step_eval(a.grid, a.cdf, a.grid - eps) - eps
+    hi = _step_eval(a.grid, a.cdf, a.grid + eps) + eps
     return bool(np.all(lo <= fb + 1e-15) and np.all(fb <= hi + 1e-15))
 
 
 def compare(a: SpectralCurve, b: SpectralCurve) -> DistanceReport:
-    """Kolmogorov and Levy distances of two CDF curves on one shared grid.
+    """Kolmogorov and Levy distances of two CDF curves on one grid.
 
-    Kolmogorov: sup over the shared grid of |F_a - F_b| (step interpolation).
+    Kolmogorov: max over the grid of |F_a - F_b|.
     Levy: the smallest eps (to grid resolution) with
     F_a(x-eps)-eps <= F_b(x) <= F_a(x+eps)+eps, checked in both orientations
     and bisected to a quarter of the grid spacing from eps = Kolmogorov,
     which is always feasible, so Levy never exceeds Kolmogorov.
     """
-    grid = _shared_grid(a, b)
-    fa, fb = _step_eval(a.grid, a.cdf, grid), _step_eval(b.grid, b.cdf, grid)
+    if a.cdf is None or b.cdf is None:
+        raise ValueError("both curves must carry CDF values")
+    if not np.array_equal(a.grid, b.grid):
+        raise ValueError("curves must share one grid")
+    grid, fa, fb = a.grid, a.cdf, b.cdf
     kol = float(np.abs(fa - fb).max())
     lo, lev = 0.0, kol
     tol = max((grid_spacing(grid) if len(grid) > 1 else kol) / 4.0, 1e-15)
     while lev > 0.0 and lev - lo > tol:
         mid = 0.5 * (lo + lev)
-        if _levy_feasible(a, fb, grid, mid) and _levy_feasible(b, fa, grid, mid):
+        if _levy_feasible(a, fb, mid) and _levy_feasible(b, fa, mid):
             lev = mid
         else:
             lo = mid

@@ -59,7 +59,14 @@ def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
     for k in range(0, len(edges), _ROW_CHUNK):
         rows = edges[k : k + _ROW_CHUNK]
         np.less(rng.random(len(rows)), probs[rows[:, 2]], out=keep[k : k + len(rows)])
-    return PercolationSample(spec=spec, edges=edges[keep])
+    # copied a chunk at a time: edges[keep] builds an int64 index of every kept row
+    kept = np.empty((np.count_nonzero(keep), edges.shape[1]), dtype=edges.dtype)
+    n = 0
+    for k in range(0, len(edges), _ROW_CHUNK):
+        rows = edges[k : k + _ROW_CHUNK][keep[k : k + _ROW_CHUNK]]
+        kept[n : n + len(rows)] = rows
+        n += len(rows)
+    return PercolationSample(spec=spec, edges=kept)
 
 
 def adjacency(sample: PercolationSample) -> np.ndarray:

@@ -544,8 +544,8 @@ def _distinct_link_weight(spec: LatticeSpec, nodes: np.ndarray, dims: np.ndarray
     return float(p.prod(axis=1).sum())
 
 
-def _exact_moments(spec: LatticeSpec) -> list[float]:
-    """E[(1/N) tr W^k] for k = 2, 3, 4, W = A / gamma, by enumerating closed walks.
+def _exact_moments(spec: LatticeSpec, kmax: int = 4) -> list[float]:
+    """E[(1/N) tr W^k] for k = 2 .. kmax, W = A / gamma, by enumerating closed walks.
 
     Permuting each dimension's digits maps the model onto itself and any
     node onto any other, so the mean diagonal entry of W^k is node 0's: the
@@ -556,7 +556,7 @@ def _exact_moments(spec: LatticeSpec) -> list[float]:
     nodes = np.zeros((1, 1), dtype=np.int64)
     dims = np.zeros((1, 0), dtype=np.int64)
     moments = []
-    for k in (2, 3, 4):
+    for k in range(2, kmax + 1):
         nbrs, nbr_dims = _neighbours(spec, nodes[:, -1])
         walks, degree = nbrs.shape
         nodes = np.column_stack([np.repeat(nodes, degree, axis=0), nbrs.ravel()])
@@ -568,6 +568,31 @@ def _exact_moments(spec: LatticeSpec) -> list[float]:
         closed_dims = np.column_stack([dims[home], np.argmax(digits[home] != 0, axis=1)])
         moments.append(_distinct_link_weight(spec, closed, closed_dims) / gamma**k)
     return moments
+
+
+def _brute_force_moments(spec: LatticeSpec, kmax: int) -> np.ndarray:
+    """E[(1/N) tr W^k] for k = 2 .. kmax, averaged over every percolation of the spec.
+
+    The links are the node pairs whose digits differ in exactly one place;
+    each subset of them is one percolation, weighted by its probability.
+    """
+    n = node_count(spec)
+    digits = np.array(list(product(*(range(m) for m in spec.dims))))
+    links = [(x, y, int(np.flatnonzero(digits[x] != digits[y])[0]))
+             for x in range(n) for y in range(x + 1, n)
+             if np.count_nonzero(digits[x] != digits[y]) == 1]
+    p = np.array([spec.probs[d] for _, _, d in links])
+    kept = np.array(list(product((0, 1), repeat=len(links))), dtype=bool)
+    weight = np.where(kept, p, 1 - p).prod(axis=1)
+    a = np.zeros((len(kept), n, n))
+    for col, (x, y, _) in enumerate(links):
+        a[:, x, y] = a[:, y, x] = kept[:, col]
+    w = a / expected_degree(spec)
+    power, moments = w, []
+    for _ in range(2, kmax + 1):
+        power = power @ w
+        moments.append(weight @ np.trace(power, axis1=1, axis2=2) / n)
+    return np.array(moments)
 
 
 def _k1_moments(problem, kmax: int) -> np.ndarray:
@@ -614,6 +639,25 @@ class TestExactMoments:
                           for m, p in zip(dims, probs)) / gamma**4
         assert abs(gap - closed_form) <= 1e-12 * m4
         assert f"{gap:.{len(printed.split('e')[0]) - 2}e}" == printed
+
+    @pytest.mark.parametrize("dims, probs", [((4,), (0.3,)), ((2, 3), (0.7, 0.4))])
+    def test_walk_sums_match_every_percolation(self, dims, probs):
+        # 6 and 9 links: 64 and 512 percolations, each averaged exactly
+        spec = LatticeSpec(dims, probs)
+        exact = np.array(_exact_moments(spec, 6))
+        assert np.all(np.abs(exact - _brute_force_moments(spec, 6)) <= 1e-14 * exact)
+
+    # the m5 column is ROADMAP item 8's table; the m6 gaps of the same specs
+    @pytest.mark.parametrize("dims, probs, m5_gap, m6_gap", [
+        ((12,), (0.5,), "3.42e-03", "6.222e-03"),
+        ((6, 8), (0.7, 0.5), "5.74e-04", "6.185e-04"),
+        ((4, 5, 6), (0.6, 0.5, 0.4), "7.95e-04", "1.244e-03"),
+    ])
+    def test_k1_misses_m5_and_m6_by_the_printed_gaps(self, dims, probs, m5_gap, m6_gap):
+        spec = LatticeSpec(dims, probs)
+        m5, m6 = _exact_moments(spec, 6)[3:]
+        k1 = _k1_moments(build_problem(spec), 6)
+        assert (f"{m5 - k1[5]:.2e}", f"{m6 - k1[6]:.3e}") == (m5_gap, m6_gap)
 
 
 def test_oracle_grid_shape():

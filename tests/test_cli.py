@@ -58,6 +58,18 @@ class TestConfigHandling:
         assert "epsilon must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dash_value_names_the_equals_form(self, tmp_path, capsys):
+        # -1e-3 is no plain negative number to argparse, so it reads as a flag
+        out = tmp_path / "o.csv"
+        argv = ["solve", "--dims", "4,5", "--probs", "0.7,0.5", "--output", str(out)]
+        assert main(argv + ["--epsilon", "-1e-3"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: argument --epsilon: expected one argument "
+            "(write a value that starts with '-' as --epsilon=VALUE)\n")
+        assert main(argv + ["--epsilon=-1e-3"]) == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["-1", "0", "NaN", "Infinity"])
     def test_bad_epsilon_in_config_is_config_error(self, tmp_path, capsys, eps):
         # a numeric JSON value is checked like the flag (json reads NaN/Infinity)
@@ -696,6 +708,13 @@ class TestOracle:
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z", z]) == 1
         typed = z.split(",")[-1].strip()
         assert f"bad complex value {typed!r}" in capsys.readouterr().err
+
+    def test_z_starting_with_minus_takes_the_equals_form(self, capsys):
+        argv = ["oracle", "--dims", "4,5", "--probs", "0.7,0.5"]
+        assert main(argv + ["--z", "-0.3+1i"]) == 1
+        assert "write a value that starts with '-' as --z=VALUE" in capsys.readouterr().err
+        assert main(argv + ["--z=-0.3+1i"]) == 0
+        assert capsys.readouterr().out.count("z=") == 1
 
     def test_z_from_config_matches_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -40,7 +40,7 @@ class TestKolmogorov:
     def test_rejects_disjoint_spans(self):
         a = step_curve(0.0, np.linspace(-1, 0, 100))
         b = step_curve(5.0, np.linspace(4, 6, 100))
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="^curves must share one grid$"):
             compare(a, b)
 
     def test_rejects_curve_without_cdf(self):
@@ -50,22 +50,32 @@ class TestKolmogorov:
             compare(a, density_only)
 
     def test_resamples_mismatched_grids(self):
+        # overlapping grids are not resampled onto their union: they are refused
         ga = np.linspace(-1, 2, 1000)
         gb = np.linspace(-1.5, 2.5, 1379)
         ramp = lambda g: SpectralCurve(grid=g, cdf=np.clip(g, 0, 1))
-        assert compare(ramp(ga), ramp(gb)).kolmogorov <= 0.01
+        with pytest.raises(ValueError, match="^curves must share one grid$"):
+            compare(ramp(ga), ramp(gb))
 
 
 class TestSharedGrid:
     @pytest.mark.parametrize("shift", [1e-9, 1e-3])
     def test_near_equal_grids_are_merged(self, shift):
-        # at 1e-9 the grids used to pass np.allclose and b was read on a's grid,
-        # where the two steps coincide: KS = Levy = 0 instead of 1
+        # grids that are only close are refused, never read one on the other:
+        # at 1e-9 np.allclose once passed them, and b read on a's grid put the
+        # two steps together, KS = Levy = 0 instead of 1
         grid = np.array([0.0, 1.0, 2.0])
         a = SpectralCurve(grid=grid, cdf=[0.0, 0.0, 1.0])
         b = SpectralCurve(grid=grid + shift, cdf=[0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^curves must share one grid$"):
+            compare(a, b)
+
+    def test_one_grid_gives_its_length(self):
+        grid = np.array([0.0, 1.0, 2.0])
+        a = SpectralCurve(grid=grid, cdf=[0.0, 0.0, 1.0])
+        b = SpectralCurve(grid=grid.copy(), cdf=[0.0, 1.0, 1.0])
         rep = compare(a, b)
-        assert (rep.kolmogorov, rep.levy, rep.grid_points) == (1.0, 1.0, 4)
+        assert (rep.kolmogorov, rep.levy, rep.grid_points) == (1.0, 1.0, 3)
 
 
 class TestLevy:

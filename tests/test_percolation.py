@@ -143,6 +143,22 @@ class TestChunkedDrawAndAssembly:
         assert len(edges) == 2048 * 2047 // 2
         assert peak - (edges.nbytes + s.edges.nbytes + a.nbytes) < 2 * 2**20
 
+    def test_compaction_holds_no_per_link_index(self):
+        # edges[keep] built an int64 index of every kept row beside the mask,
+        # 8 B per kept link (7.6 MiB here); chunked, the kept rows are copied
+        # straight into their own array
+        spec = LatticeSpec((2000,), (0.5,))
+        edges = supergraph_edges(spec)
+        sample(LatticeSpec((4, 5), (0.7, 0.5)), 0)  # numpy.random loads outside the trace
+        tracemalloc.start()
+        try:
+            s = sample(spec, 3, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(s.edges, self._one_shot_draw(spec, 3, edges))
+        assert peak - (s.edges.nbytes + len(edges)) < 2**20
+
 
 class TestMatrices:
     def test_empty_sample_gives_zero_matrix(self):

@@ -47,6 +47,8 @@ from percolattice.lattice import (
 from percolattice.metrics import compare
 from percolattice.percolation import girko_conditions
 
+from walk_moments import exact_moments
+
 # (dims, probs, seed) of the paper's two figures, 50 trials each
 FIGURES = {
     "1a": ((30, 50), (0.7, 0.5), 42),
@@ -147,19 +149,23 @@ def test_criterion_4_figure_1b(figure_trials):
     figure_reproduction(4, "figure 1b reproduction", figure_trials("1b"))
 
 
-def test_criterion_5_row_normalization_trend():
-    def levy_pair(dims, seed):
-        # both spectra of a trial from one percolation, as compare --normalized
-        scaled, norm = theorem3_spectra(LatticeSpec(dims, (0.6, 0.6)), seed, 20)
-        lo = min(scaled.eigenvalues.min(), norm.eigenvalues.min()) - 0.1
-        hi = max(scaled.eigenvalues.max(), norm.eigenvalues.max()) + 0.1
-        grid = np.linspace(lo, hi, 2000)
-        a = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(scaled, grid), float))
-        b = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(norm, grid), float))
-        return compare(a, b).levy
+def theorem3_levy(spec, seed, trials):
+    """Levy distance between the scaled-adjacency and row-normalized spectra.
 
-    d_small = levy_pair((10, 10), seed=7)
-    d_large = levy_pair((30, 30), seed=7)
+    Both spectra of a trial come from one percolation, and the grid is
+    compare --normalized's: both spectra, plus the default margin.
+    """
+    scaled, norm = theorem3_spectra(spec, seed, trials)
+    grid = span_grid(min(scaled.eigenvalues[0], norm.eigenvalues[0]),
+                     max(scaled.eigenvalues[-1], norm.eigenvalues[-1]), 2000, 0.1)
+    a = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(scaled, grid), float))
+    b = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(norm, grid), float))
+    return compare(a, b).levy
+
+
+def test_criterion_5_row_normalization_trend():
+    d_small = theorem3_levy(LatticeSpec((10, 10), (0.6, 0.6)), 7, 20)
+    d_large = theorem3_levy(LatticeSpec((30, 30), (0.6, 0.6)), 7, 20)
     ok = d_small > d_large and d_large <= 0.05
     report(5, "row-normalization Levy trend", ok,
            f"levy(10,10) = {d_small:.4f} > levy(30,30) = {d_large:.4f} <= 0.05")
@@ -320,20 +326,11 @@ def test_criterion_11_theorem3_rate():
     # 1/sqrt(gamma).  Measured (mean Levy of seeds 7 and 8, 10 trials each):
     # Levy * sqrt(gamma) = 0.0547, 0.0523, 0.0552, 0.0466 up the ladder, and
     # the slope of log Levy on log gamma is -0.62.
-    def levy(spec, seed):
-        scaled, norm = theorem3_spectra(spec, seed, 10)
-        # compare --normalized's grid: both spectra, plus the default margin
-        grid = span_grid(min(scaled.eigenvalues[0], norm.eigenvalues[0]),
-                         max(scaled.eigenvalues[-1], norm.eigenvalues[-1]), 2000, 0.1)
-        a = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(scaled, grid), float))
-        b = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(norm, grid), float))
-        return compare(a, b).levy
-
     gammas, levys = [], []
     for dims in ((10, 10), (15, 15), (20, 20), (30, 30)):
         spec = LatticeSpec(dims, (0.6, 0.6))
         gammas.append(expected_degree(spec))
-        levys.append(np.mean([levy(spec, seed) for seed in (7, 8)]))
+        levys.append(np.mean([theorem3_levy(spec, seed, 10) for seed in (7, 8)]))
     rate = np.array(levys) * np.sqrt(gammas)
     slope = np.polyfit(np.log(gammas), np.log(levys), 1)[0]
     # the band has >= 35% headroom on the measured range, and the window 0.23
@@ -342,3 +339,38 @@ def test_criterion_11_theorem3_rate():
     report(11, "Theorem 3 rate", ok,
            f"Levy * sqrt(gamma) = {', '.join(f'{v:.4f}' for v in rate)} in "
            f"[0.03, 0.08]; slope {slope:.2f} in [-0.85, -0.15]")
+
+
+# Bound: two-sided normal quantile at family alpha = 0.001, Bonferroni over
+# the two figures x k = 2, 3, 4.
+MOMENT_Z_BOUND = 3.765
+
+
+def moment_zscores(spec, per_trial):
+    """z of the trials' mean m_k = mean(lambda^k) against the exact E m_k, k = 2, 3, 4."""
+    moments = np.array([[np.mean(vals**k) for k in (2, 3, 4)] for vals in per_trial])
+    se = moments.std(axis=0, ddof=1) / np.sqrt(len(moments))
+    return (moments.mean(axis=0) - exact_moments(spec)) / se
+
+
+def test_criterion_12_exact_moments(figure_trials):
+    # the sampler, the assembly and the eigensolve against the finite-N
+    # model's own moments, without K1's O(1/gamma) bias; no extra eigensolve.
+    # Measured: fig 1a z = -0.16, -0.35, -0.36; fig 1b z = -1.80, -1.47, -1.67
+    ok, details = True, []
+    for figure in FIGURES:
+        spec, per_trial, _ = figure_trials(figure)
+        z = moment_zscores(spec, per_trial)
+        ok = ok and bool(np.all(np.abs(z) <= MOMENT_Z_BOUND))
+        details.append(f"fig {figure}: z = {', '.join(f'{v:+.2f}' for v in z)}")
+    report(12, "exact moments", ok, f"{'; '.join(details)}; |z| <= {MOMENT_Z_BOUND}")
+
+
+def test_criterion_12_detects_a_wrong_probability():
+    # (12,) drawn at p = 0.55 but tested as p = 0.5, eigenvalues divided by
+    # the model's gamma: z = +36.5, +31.6, +31.4 at k = 2, 3, 4 over 2000 trials
+    model = LatticeSpec((12,), (0.5,))
+    gamma = expected_degree(model)
+    per_trial = map_trials(LatticeSpec((12,), (0.55,)), 1, 2000,
+                           lambda a: eigenvalues(a) / gamma)
+    assert np.all(np.abs(moment_zscores(model, per_trial)) > MOMENT_Z_BOUND)

@@ -37,36 +37,34 @@ class TestKolmogorov:
         b = SpectralCurve(grid=FINE, cdf=clipped)
         assert compare(a, b).kolmogorov == pytest.approx(0.05)
 
-    def test_rejects_disjoint_spans(self):
-        a = step_curve(0.0, np.linspace(-1, 0, 100))
-        b = step_curve(5.0, np.linspace(4, 6, 100))
-        with pytest.raises(ValueError, match="^curves must share one grid$"):
-            compare(a, b)
-
     def test_rejects_curve_without_cdf(self):
         a = step_curve(0.0, FINE)
         density_only = SpectralCurve(grid=FINE, density=np.ones_like(FINE))
         with pytest.raises(ValueError, match="^both curves must carry CDF values$"):
             compare(a, density_only)
 
-    def test_resamples_mismatched_grids(self):
-        # overlapping grids are not resampled onto their union: they are refused
-        ga = np.linspace(-1, 2, 1000)
-        gb = np.linspace(-1.5, 2.5, 1379)
-        ramp = lambda g: SpectralCurve(grid=g, cdf=np.clip(g, 0, 1))
-        with pytest.raises(ValueError, match="^curves must share one grid$"):
-            compare(ramp(ga), ramp(gb))
+
+def ramp(grid):
+    return SpectralCurve(grid=grid, cdf=np.clip(grid, 0, 1))
+
+
+def steps(shift):
+    grid = np.array([0.0, 1.0, 2.0])
+    return (SpectralCurve(grid=grid, cdf=[0.0, 0.0, 1.0]),
+            SpectralCurve(grid=grid + shift, cdf=[0.0, 1.0, 1.0]))
 
 
 class TestSharedGrid:
-    @pytest.mark.parametrize("shift", [1e-9, 1e-3])
-    def test_near_equal_grids_are_merged(self, shift):
-        # grids that are only close are refused, never read one on the other:
-        # at 1e-9 np.allclose once passed them, and b read on a's grid put the
-        # two steps together, KS = Levy = 0 instead of 1
-        grid = np.array([0.0, 1.0, 2.0])
-        a = SpectralCurve(grid=grid, cdf=[0.0, 0.0, 1.0])
-        b = SpectralCurve(grid=grid + shift, cdf=[0.0, 1.0, 1.0])
+    # two grids that are not one are refused, never resampled onto their union
+    # nor read one on the other: at 1e-9 np.allclose once passed them, and b
+    # read on a's grid put the two steps together, KS = Levy = 0 instead of 1
+    @pytest.mark.parametrize("a, b", [
+        steps(1e-9),
+        steps(1e-3),
+        (ramp(np.linspace(-1, 2, 1000)), ramp(np.linspace(-1.5, 2.5, 1379))),
+        (step_curve(0.0, np.linspace(-1, 0, 100)), step_curve(5.0, np.linspace(4, 6, 100))),
+    ], ids=["near-equal-1e-9", "near-equal-1e-3", "overlapping", "disjoint"])
+    def test_rejects_grids_that_differ(self, a, b):
         with pytest.raises(ValueError, match="^curves must share one grid$"):
             compare(a, b)
 

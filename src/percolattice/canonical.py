@@ -7,8 +7,9 @@ scalar self-consistency equation for the principal coefficient,
 
 whose unique solution with Im z * Im alpha > 0 is the transform of the
 deterministic equivalent distribution.  The reduction is not trusted on
-its own: matrix_k1_oracle iterates the full N x N canonical system and is
-used to validate it.
+its own: matrix_k1_oracle takes the scalar solution through one step of
+the full N x N canonical map, built from the edge listing with no closed
+form, and is used to validate it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class SolverError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """Matrix-level canonical iteration failed or contradicted the solution form."""
+    """The matrix-level canonical map left the Kronecker solution form."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,8 @@ _TOL = 1e-12
 # Sweeps per level.
 _MAX_SWEEPS = 200
 
-# Matrix oracle: iterations before it gives up, and the trace-average step that ends it.
-_ORACLE_MAX_ITER = 200_000
-_ORACLE_TOL = 1e-12
+# Matrix oracle: the largest relative distance of C from the solution form.
+_FORM_TOL = 1e-11
 
 
 def _g(atoms, weights, sig2, z, alpha):
@@ -288,48 +288,30 @@ def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
 
 
 def matrix_k1_oracle(spec: LatticeSpec, z: complex):
-    """Matrix-level canonical fixed point; the independent check on solve_alpha.
+    """One step of the matrix-level canonical map at the scalar solution.
 
-    Iterates C <- (B - zI - diag_k(sum_s C_ss E[H_ks^2]))^{-1} from
-    i*sign(Im z)*I until successive trace-averages differ by < 1e-12, then
-    verifies the converged C sits in the Kronecker solution-form span.
-    Returns (tr C / N, C).
+    The N x N canonical system K1 is C = F(C) = (B - zI - diag(V diag C))^{-1},
+    with B and V dense from the edge listing. F reads C only through diag C,
+    so for alpha = solve_alpha's value C = F(alpha I) solves K1 exactly when
+    diag C = alpha. C must lie in the Kronecker solution form, whose diagonal
+    is the constant tr C / N, so |alpha - tr C / N| is zero exactly at K1's
+    fixed point. Im z * Im alpha > 0 and V >= 0 give each shift entry an Im
+    part of sign s = sign(Im z), so s * Im C = s * C Im(shift) C^* is positive
+    definite by construction, and K1 has exactly one such solution (Helton,
+    Rashidi Far and Speicher, IMRN 2007). Returns (tr C / N, C).
     """
     n = node_count(spec)
     check_size("oracle", n, ORACLE_NODE_LIMIT)
     z = complex(z)
     if z.imag == 0:
         raise ValueError("matrix_k1_oracle requires Im z != 0")
-    s = 1.0 if z.imag > 0 else -1.0
-    base = expected_matrix(spec) - z * np.eye(n)
-    v = variance_matrix(spec)
-    c = 1j * s * np.eye(n)
-    trace_avg = np.trace(c) / n
-    eta = 1.0
-    prev_delta = np.inf
-    for _ in range(_ORACLE_MAX_ITER):
-        shift = v @ np.diagonal(c)
-        c_next = np.linalg.inv(base - np.diag(shift))
-        c = (1.0 - eta) * c + eta * c_next
-        new_avg = np.trace(c) / n
-        delta = abs(new_avg - trace_avg)
-        trace_avg = new_avg
-        if delta < _ORACLE_TOL:
-            break
-        if delta > prev_delta:
-            eta = max(0.25 * eta, 1e-3)
-        prev_delta = delta
-    else:
-        raise OracleError(
-            f"canonical matrix iteration did not converge at z={z} "
-            f"(last trace step {prev_delta:.3e})"
-        )
+    alpha = solve_alpha(build_problem(spec), z).alpha_principal
+    shift = z + alpha * variance_matrix(spec).sum(axis=1)
+    c = np.linalg.inv(expected_matrix(spec) - np.diag(shift))
     residual = solution_form_residual(spec, c)
-    if residual > 10.0 * _ORACLE_TOL:
-        raise OracleError(
-            f"converged resolvent leaves the Kronecker solution form: "
-            f"relative residual {residual:.3e} > {10 * _ORACLE_TOL:.1e}"
-        )
+    if residual > _FORM_TOL:
+        raise OracleError(f"resolvent at the scalar solution leaves the Kronecker "
+                          f"solution form: relative residual {residual:.3e} > {_FORM_TOL:.1e}")
     return complex(np.trace(c) / n), c
 
 

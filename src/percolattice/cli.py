@@ -314,7 +314,7 @@ _COMMANDS = {
     "solve": "deterministic CDF/density curves via the canonical system",
     "simulate": "Monte Carlo empirical CDF/density curves",
     "compare": "both pipelines on a shared grid, plus distances",
-    "oracle": "scalar solver vs matrix-level canonical iteration",
+    "oracle": "scalar solver vs one step of the matrix-level canonical map",
     "conditions": "applicability condition values",
 }
 

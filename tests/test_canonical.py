@@ -482,6 +482,19 @@ class TestMatrixOracle:
             s, _ = matrix_k1_oracle(spec, z)
             assert z.imag * s.imag > 0
 
+    @pytest.mark.parametrize("offset", [0.0, 0.3], ids=["bulk", "bulk+0.3"])
+    def test_at_the_plots_own_z(self, offset):
+        # Im z is the CLI's default epsilon, where the density curves are drawn
+        spec = LatticeSpec((24, 25), (0.7, 0.5))
+        prob = build_problem(spec)
+        eps = default_epsilon(auto_grid(prob, points=2000, margin=0.1))
+        assert eps == pytest.approx(2.18e-3, abs=1e-5)
+        z = complex(prob.atoms[np.argmax(prob.weights)] + offset, eps)
+        s, c = matrix_k1_oracle(spec, z)
+        assert abs(solve_alpha(prob, z).alpha_principal - s) <= 1e-8
+        assert solution_form_residual(spec, c) <= 1e-11
+        assert np.linalg.eigvalsh((c - c.conj().T) / 2j).min() > 0
+
     def test_rejects_large_instances(self):
         with pytest.raises(SizeLimitError):
             matrix_k1_oracle(LatticeSpec((30, 50), (0.7, 0.5)), 1j)

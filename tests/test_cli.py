@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from percolattice import _openblas, cli, espectrum, lattice, percolation
+from percolattice import _openblas, canonical, cli, espectrum, lattice, percolation
 from percolattice.canonical import OracleError, SolverError
 from percolattice.cli import main
 
@@ -730,16 +731,16 @@ class TestOracle:
 
     @pytest.mark.parametrize("raise_at, lines, message", [
         (None, 2, "worst disagreement 1.000e-06 exceeds 1e-08"),
-        (-0.3 + 1j, 1, "canonical matrix iteration did not converge at z=(-0.3+1j) "
-                       "(last trace step 1.000e-03)"),
+        (-0.3 + 1j, 1, "resolvent at the scalar solution leaves the Kronecker solution "
+                       "form: relative residual 1.000e-03 > 1.0e-11"),
     ], ids=["disagreement", "oracle-error"])
     def test_failure_exits_4(self, monkeypatch, capsys, raise_at, lines, message):
         # a disagreement used to print FAIL: on stdout and return 4 past main's
         # except clauses; either failure now ends in one line on stderr
         def off_by_1e6(spec, z):
             if z == raise_at:
-                raise OracleError(f"canonical matrix iteration did not converge at z={z} "
-                                  "(last trace step 1.000e-03)")
+                raise OracleError("resolvent at the scalar solution leaves the Kronecker "
+                                  "solution form: relative residual 1.000e-03 > 1.0e-11")
             return cli.solve_alpha(cli.build_problem(spec), z).alpha_principal + 1e-6, None
 
         monkeypatch.setattr(cli, "matrix_k1_oracle", off_by_1e6)
@@ -750,6 +751,25 @@ class TestOracle:
             f"z={z} |solve_alpha - matrix_k1_oracle| = 1.000e-06\n"
             for z in ["0.2+0.5j", "-0.3+1j"][:lines])
         assert captured.err == f"oracle failure: {message}\n"
+
+    @pytest.mark.parametrize("dims, probs", [((4, 5), (0.7, 0.5)),
+                                             ((3, 3, 4), (0.8, 0.7, 0.6))])
+    @pytest.mark.parametrize("field, wrong_value", [
+        ("variance_sum", lambda p: 1.01 * p.variance_sum),
+        ("atoms", lambda p: np.append(p.atoms[:-1], p.atoms[-1] + 1e-6)),
+    ], ids=["sigma2-times-1.01", "top-atom-plus-1e-6"])
+    def test_a_wrong_closed_form_exits_4(self, monkeypatch, capsys, dims, probs,
+                                         field, wrong_value):
+        # B and V come from the edge listing, so a scalar problem built from a
+        # wrong sigma^2 or branch value is caught, not checked against itself
+        right = cli.build_problem(lattice.LatticeSpec(dims, probs))
+        wrong = dataclasses.replace(right, **{field: wrong_value(right)})
+        for module in (canonical, cli):
+            monkeypatch.setattr(module, "build_problem", lambda spec: wrong)
+        argv = ["oracle", "--dims", ",".join(map(str, dims)),
+                "--probs", ",".join(map(str, probs))]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("oracle failure: worst disagreement ")
 
     def test_at_documented_cap(self, capsys):
         # N=576, D=8: the least-squares residual's 331776 x 256 complex basis

@@ -7,9 +7,9 @@ scalar self-consistency equation for the principal coefficient,
 
 whose unique solution with Im z * Im alpha > 0 is the transform of the
 deterministic equivalent distribution.  The reduction is not trusted on
-its own: matrix_k1_oracle takes the scalar solution through one step of
-the full N x N canonical map, built from the edge listing with no closed
-form, and is used to validate it.
+its own: matrix_k1_oracle takes the caller's scalar solution alpha through
+one step of the full N x N canonical map, built from the edge listing with
+no closed form, and reports how far the result's diagonal is from alpha.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    ORACLE_NODE_LIMIT,
+    EIGENSOLVE_LIMIT,
     LatticeSpec,
     branch_table,
     check_size,
@@ -287,25 +287,24 @@ def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
     return float(np.linalg.norm(proj) / max(np.linalg.norm(c), 1e-300))
 
 
-def matrix_k1_oracle(spec: LatticeSpec, z: complex):
-    """One step of the matrix-level canonical map at the scalar solution.
+def matrix_k1_oracle(spec: LatticeSpec, z: complex, alpha: complex):
+    """One step of the matrix-level canonical map at the caller's alpha.
 
     The N x N canonical system K1 is C = F(C) = (B - zI - diag(V diag C))^{-1},
     with B and V dense from the edge listing. F reads C only through diag C,
-    so for alpha = solve_alpha's value C = F(alpha I) solves K1 exactly when
-    diag C = alpha. C must lie in the Kronecker solution form, whose diagonal
-    is the constant tr C / N, so |alpha - tr C / N| is zero exactly at K1's
-    fixed point. Im z * Im alpha > 0 and V >= 0 give each shift entry an Im
-    part of sign s = sign(Im z), so s * Im C = s * C Im(shift) C^* is positive
-    definite by construction, and K1 has exactly one such solution (Helton,
-    Rashidi Far and Speicher, IMRN 2007). Returns (tr C / N, C).
+    so for alpha = solve_alpha's value at z, C = F(alpha I) solves K1 exactly
+    when diag C = alpha. C must lie in the Kronecker solution form, whose
+    diagonal is the constant tr C / N, so |alpha - tr C / N| is zero exactly
+    at K1's fixed point. Im z * Im alpha > 0 and V >= 0 give each shift entry
+    an Im part of sign s = sign(Im z), so s * Im C = s * C Im(shift) C^* is
+    positive definite by construction, and K1 has exactly one such solution
+    (Helton, Rashidi Far and Speicher, IMRN 2007). Returns (tr C / N, C).
     """
     n = node_count(spec)
-    check_size("oracle", n, ORACLE_NODE_LIMIT)
+    check_size("oracle", n, EIGENSOLVE_LIMIT)
     z = complex(z)
     if z.imag == 0:
         raise ValueError("matrix_k1_oracle requires Im z != 0")
-    alpha = solve_alpha(build_problem(spec), z).alpha_principal
     shift = z + alpha * variance_matrix(spec).sum(axis=1)
     c = np.linalg.inv(expected_matrix(spec) - np.diag(shift))
     residual = solution_form_residual(spec, c)

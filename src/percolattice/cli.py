@@ -26,7 +26,7 @@ from .espectrum import check_trials, monte_carlo_spectrum, smoothed_density
 from .espectrum import theorem3_spectra
 from .inversion import auto_grid, cdf_from_density, check_epsilon, check_grid
 from .inversion import default_epsilon, density_curve, span_grid
-from .lattice import ORACLE_NODE_LIMIT, LatticeSpec, SizeLimitError, check_size
+from .lattice import EIGENSOLVE_LIMIT, LatticeSpec, SizeLimitError, check_size
 from .lattice import is_integral, node_count
 from .metrics import compare as compare_curves
 from .percolation import girko_conditions
@@ -287,13 +287,13 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    check_size("oracle", node_count(spec), ORACLE_NODE_LIMIT)  # before the 2^D branches
+    check_size("oracle", node_count(spec), EIGENSOLVE_LIMIT)  # before the 2^D branches
     problem = build_problem(spec)
     zs = cfg.z if cfg.z is not None else oracle_z_grid()
     alphas = solve_alpha(problem, np.array(zs)).alpha_principal
     worst = 0.0
     for z, s_scalar in zip(zs, alphas):
-        s_matrix = matrix_k1_oracle(spec, z)[0]  # no C outlives its z
+        s_matrix = matrix_k1_oracle(spec, z, s_scalar)[0]  # no C outlives its z
         diff = abs(s_scalar - s_matrix)
         worst = max(worst, diff)
         print(f"z={z:.6g} |solve_alpha - matrix_k1_oracle| = {diff:.3e}")

@@ -16,8 +16,7 @@ import numpy as np
 
 # Size caps, each enforced through check_size.
 DENSE_NODE_LIMIT = 10_000     # dense adjacency; beyond it only the edge stream
-EIGENSOLVE_LIMIT = 4000       # dense eigensolve
-ORACLE_NODE_LIMIT = 600       # matrix-level canonical oracle
+EIGENSOLVE_LIMIT = 4000       # dense eigensolve, and the matrix oracle's inverse
 BRANCH_LIMIT = 2**23          # branches 2^D held at once, ~65 B each downstream
 GRID_POINT_LIMIT = 2**22      # real grid points, ~120 B each through solve/simulate
 

@@ -227,7 +227,7 @@ class TestSolveAlpha:
         # direct check of the stated scalar equation
         resid = a - (0.5 / (1 - z - a) + 0.5 / (-1 - z - a))
         assert abs(resid) < 1e-11
-        s, _ = matrix_k1_oracle(spec, z)
+        s, _ = matrix_k1_oracle(spec, z, a)
         assert abs(a - s) < 1e-8
 
     def test_one_dimensional_quadratic_limit(self):
@@ -462,7 +462,8 @@ class TestMatrixOracle:
         z = 0.2 + 0.7j
         n = node_count(spec)
         exact = np.trace(np.linalg.inv(expected_matrix(spec) - z * np.eye(n))) / n
-        s, _ = matrix_k1_oracle(spec, z)
+        a = solve_alpha(build_problem(spec), z).alpha_principal
+        s, _ = matrix_k1_oracle(spec, z, a)
         assert abs(s - exact) < 1e-11
 
     def test_agreement_with_scalar_solver(self):
@@ -470,38 +471,63 @@ class TestMatrixOracle:
         prob = build_problem(spec)
         z = 0.2 + 0.7j
         a = solve_alpha(prob, z).alpha_principal
-        s, _ = matrix_k1_oracle(spec, z)
+        s, _ = matrix_k1_oracle(spec, z, a)
         assert abs(a - s) < 1e-8
+
+    @pytest.mark.parametrize("dims, probs", [((4, 5), (0.7, 0.5)),
+                                             ((3, 3, 4), (0.8, 0.7, 0.6))])
+    def test_detects_a_perturbed_alpha(self, dims, probs):
+        # an alpha off the fixed point by delta is measured, not echoed back:
+        # the disagreement is |delta (1 - g'(alpha))|, 0.81 to 1.62 |delta| here
+        spec = LatticeSpec(dims, probs)
+        prob = build_problem(spec)
+        for z in oracle_z_grid():
+            a = solve_alpha(prob, z).alpha_principal
+            off = a * (1 + 1e-6)
+            s, _ = matrix_k1_oracle(spec, z, off)
+            assert abs(off - s) >= 0.5e-6 * abs(a), z
 
     def test_herglotz_at_random_points(self):
         spec = LatticeSpec((3, 3), (0.6, 0.8))
+        prob = build_problem(spec)
         rng = np.random.default_rng(6)
         for _ in range(20):
             z = complex(rng.uniform(-1.5, 1.5),
                         rng.choice([-1, 1]) * rng.uniform(0.05, 2))
-            s, _ = matrix_k1_oracle(spec, z)
+            s, _ = matrix_k1_oracle(spec, z, solve_alpha(prob, z).alpha_principal)
             assert z.imag * s.imag > 0
 
-    @pytest.mark.parametrize("offset", [0.0, 0.3], ids=["bulk", "bulk+0.3"])
-    def test_at_the_plots_own_z(self, offset):
-        # Im z is the CLI's default epsilon, where the density curves are drawn
-        spec = LatticeSpec((24, 25), (0.7, 0.5))
+    # Im z is the CLI's default epsilon for the spec, where its density curves
+    # are drawn; Figure 1a is N=1500 and Figure 1b N=2000
+    @pytest.mark.parametrize("dims, probs, eps, offset", [
+        pytest.param(dims, probs, eps, offset, id=f"{name}bulk{label}")
+        for name, dims, probs, eps in [
+            ("", (24, 25), (0.7, 0.5), 2.18e-3),
+            ("fig1a-", (30, 50), (0.7, 0.5), 1.99e-3),
+            ("fig1b-", (10, 10, 20), (0.8, 0.7, 0.6), 2.19e-3),
+        ]
+        for offset, label in [(0.0, ""), (0.3, "+0.3")]
+    ])
+    def test_at_the_plots_own_z(self, dims, probs, eps, offset):
+        spec = LatticeSpec(dims, probs)
         prob = build_problem(spec)
-        eps = default_epsilon(auto_grid(prob, points=2000, margin=0.1))
-        assert eps == pytest.approx(2.18e-3, abs=1e-5)
-        z = complex(prob.atoms[np.argmax(prob.weights)] + offset, eps)
-        s, c = matrix_k1_oracle(spec, z)
-        assert abs(solve_alpha(prob, z).alpha_principal - s) <= 1e-8
+        plot_eps = default_epsilon(auto_grid(prob, points=2000, margin=0.1))
+        assert plot_eps == pytest.approx(eps, abs=1e-5)
+        z = complex(prob.atoms[np.argmax(prob.weights)] + offset, plot_eps)
+        a = solve_alpha(prob, z).alpha_principal
+        s, c = matrix_k1_oracle(spec, z, a)
+        assert abs(a - s) <= 1e-8
         assert solution_form_residual(spec, c) <= 1e-11
-        assert np.linalg.eigvalsh((c - c.conj().T) / 2j).min() > 0
+        # Im C is positive definite; Cholesky is several times faster than eigvalsh
+        np.linalg.cholesky((c - c.conj().T) / 2j)
 
     def test_rejects_large_instances(self):
-        with pytest.raises(SizeLimitError):
-            matrix_k1_oracle(LatticeSpec((30, 50), (0.7, 0.5)), 1j)
+        with pytest.raises(SizeLimitError, match="^oracle refused for N=6400 > 4000$"):
+            matrix_k1_oracle(LatticeSpec((80, 80), (0.7, 0.5)), 1j, 1j)
 
     def test_rejects_real_z(self):
         with pytest.raises(ValueError):
-            matrix_k1_oracle(LatticeSpec((3, 3), (0.5, 0.5)), 1.0)
+            matrix_k1_oracle(LatticeSpec((3, 3), (0.5, 0.5)), 1.0, 1j)
 
     def test_variance_matrix_row_sums(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
@@ -543,9 +569,12 @@ class TestSolutionFormResidual:
             assert solution_form_residual(spec, c) <= 1e-14
 
     def test_memory_at_oracle_cap(self):
-        # the least-squares form held a 360000 x 32 complex basis (352 MiB)
+        # N=600, the oracle's cap before it shared EIGENSOLVE_LIMIT: the
+        # least-squares form held a 360000 x 32 complex basis (352 MiB)
         spec = LatticeSpec((2, 3, 4, 5, 5), (0.9, 0.7, 0.5, 0.3, 0.2))
-        _, c = matrix_k1_oracle(spec, 0.2 + 0.5j)
+        z = 0.2 + 0.5j
+        a = solve_alpha(build_problem(spec), z).alpha_principal
+        _, c = matrix_k1_oracle(spec, z, a)
         tracemalloc.start()
         try:
             residual = solution_form_residual(spec, c)

@@ -13,6 +13,14 @@ from percolattice.canonical import OracleError, SolverError
 from percolattice.cli import main
 
 
+def _counting(calls, name, fn):
+    """fn, adding each call to calls[name]."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -532,11 +540,11 @@ class TestSizeGates:
                      ["solve", "--dims", TWOS, "--probs", HALVES],
                      "branch table refused for 2^D=16777216 > 8388608", id="branch_table"),
         pytest.param(None, None, None,
-                     ["oracle", "--dims", "30,50", "--probs", "0.7,0.5"],
-                     "oracle refused for N=1500 > 600", id="cmd_oracle"),
-        pytest.param(cli, "ORACLE_NODE_LIMIT", 1000,
-                     ["oracle", "--dims", "25,25", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
-                     "oracle refused for N=625 > 600", id="matrix_k1_oracle"),
+                     ["oracle", "--dims", "80,80", "--probs", "0.7,0.5"],
+                     "oracle refused for N=6400 > 4000", id="cmd_oracle"),
+        pytest.param(cli, "EIGENSOLVE_LIMIT", 5000,
+                     ["oracle", "--dims", "64,64", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
+                     "oracle refused for N=4096 > 4000", id="matrix_k1_oracle"),
         pytest.param(lattice, "DENSE_NODE_LIMIT", 10,
                      ["oracle", "--dims", "3,4", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
                      "dense adjacency refused for N=12 > 10", id="link_matrix"),
@@ -580,6 +588,17 @@ class TestSizeGates:
         assert captured.err == "size limit: dense eigensolve refused for N=4900 > 4000\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_oracle_refuses_before_solving(self, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("built or solved")
+
+        monkeypatch.setattr(cli, "build_problem", no_work)
+        monkeypatch.setattr(cli, "solve_alpha", no_work)
+        assert main(["oracle", "--dims", "64,64", "--probs", "0.7,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "size limit: oracle refused for N=4096 > 4000\n"
+        assert captured.out == ""
 
     def test_conditions_needs_no_branches(self, capsys):
         assert main(["conditions", "--dims", self.TWOS, "--probs", self.HALVES]) == 0
@@ -681,15 +700,10 @@ class TestCompare:
         # a trial's reference and row-normalized spectra share one sample and
         # one adjacency; each used to be drawn and built twice
         calls = {"sample": 0, "adjacency": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(percolation, "sample", counted("sample", percolation.sample))
-        monkeypatch.setattr(espectrum, "adjacency", counted("adjacency", espectrum.adjacency))
+        monkeypatch.setattr(percolation, "sample",
+                            _counting(calls, "sample", percolation.sample))
+        monkeypatch.setattr(espectrum, "adjacency",
+                            _counting(calls, "adjacency", espectrum.adjacency))
         assert main(["compare", "--dims", "6,6", "--probs", "0.6,0.6", "--trials", "3",
                      "--seed", "2", "--grid-points", "500", "--normalized",
                      "--output", str(tmp_path / "cmp.csv")]) == 0
@@ -703,7 +717,19 @@ class TestOracle:
         assert "OK" in capsys.readouterr().out
 
     def test_size_limit(self):
-        assert main(["oracle", "--dims", "30,50", "--probs", "0.7,0.5"]) == 2
+        assert main(["oracle", "--dims", "80,80", "--probs", "0.7,0.5"]) == 2
+
+    def test_solves_each_z_once(self, monkeypatch, capsys):
+        # the oracle checks the alpha of the one grid solve; it used to build
+        # the problem and solve again at every z, 26 calls of each
+        calls = {"build_problem": 0, "solve_alpha": 0}
+        for name in calls:
+            wrapper = _counting(calls, name, getattr(canonical, name))
+            for module in (canonical, cli):
+                monkeypatch.setattr(module, name, wrapper)
+        assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5"]) == 0
+        assert capsys.readouterr().out.count("z=") == 25
+        assert calls == {"build_problem": 1, "solve_alpha": 1}
 
     # an empty --z used to run the default grid and exit 0
     @pytest.mark.parametrize("z", ["inf+1i", "0.2+0.5i, 1+x", ""])
@@ -737,11 +763,11 @@ class TestOracle:
     def test_failure_exits_4(self, monkeypatch, capsys, raise_at, lines, message):
         # a disagreement used to print FAIL: on stdout and return 4 past main's
         # except clauses; either failure now ends in one line on stderr
-        def off_by_1e6(spec, z):
+        def off_by_1e6(spec, z, alpha):
             if z == raise_at:
                 raise OracleError("resolvent at the scalar solution leaves the Kronecker "
                                   "solution form: relative residual 1.000e-03 > 1.0e-11")
-            return cli.solve_alpha(cli.build_problem(spec), z).alpha_principal + 1e-6, None
+            return alpha + 1e-6, None
 
         monkeypatch.setattr(cli, "matrix_k1_oracle", off_by_1e6)
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5",
@@ -761,19 +787,20 @@ class TestOracle:
     def test_a_wrong_closed_form_exits_4(self, monkeypatch, capsys, dims, probs,
                                          field, wrong_value):
         # B and V come from the edge listing, so a scalar problem built from a
-        # wrong sigma^2 or branch value is caught, not checked against itself
+        # wrong sigma^2 or branch value is caught, not checked against itself;
+        # the oracle reads the CLI's alpha, so patching the CLI's problem suffices
         right = cli.build_problem(lattice.LatticeSpec(dims, probs))
         wrong = dataclasses.replace(right, **{field: wrong_value(right)})
-        for module in (canonical, cli):
-            monkeypatch.setattr(module, "build_problem", lambda spec: wrong)
+        monkeypatch.setattr(cli, "build_problem", lambda spec: wrong)
         argv = ["oracle", "--dims", ",".join(map(str, dims)),
                 "--probs", ",".join(map(str, probs))]
         assert main(argv) == 4
         assert capsys.readouterr().err.startswith("oracle failure: worst disagreement ")
 
     def test_at_documented_cap(self, capsys):
-        # N=576, D=8: the least-squares residual's 331776 x 256 complex basis
-        # (1.27 GiB) used to end this run in a MemoryError traceback
+        # N=576, D=8, under the oracle's former 600-node cap: the least-squares
+        # residual's 331776 x 256 complex basis (1.27 GiB) used to end this run
+        # in a MemoryError traceback
         assert main(["oracle", "--dims", "2,2,2,2,2,2,3,3",
                      "--probs", "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2", "--z", "0.2+0.5i"]) == 0
         assert "OK: worst disagreement" in capsys.readouterr().out

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import percolation
 from .inversion import SpectralCurve, check_epsilon
 from .lattice import EIGENSOLVE_LIMIT, check_size, expected_degree, node_count
 from .percolation import adjacency
@@ -202,11 +203,10 @@ def map_trials(spec, seed: int, trials: int, solve) -> list:
     A trial's sample is dropped once its matrix is built, and the matrix once
     `solve` returns, so a run with an in-place solve holds one dense N x N matrix.
     """
-    # looked up at call time, so a wrapper in percolation sees every draw and the listing
-    from .percolation import sample as draw, supergraph_edges
     check_trials(spec, seed, trials)
-    edges = supergraph_edges(spec)
-    return [solve(adjacency(draw(spec, trial_seed(seed, t), edges))) for t in range(trials)]
+    edges = percolation.supergraph_edges(spec)
+    return [solve(adjacency(percolation.sample(spec, trial_seed(seed, t), edges)))
+            for t in range(trials)]
 
 
 def monte_carlo_spectrum(spec, seed: int, trials: int) -> EmpiricalSpectrum:

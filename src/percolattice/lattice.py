@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Size caps, each enforced through check_size.
-DENSE_NODE_LIMIT = 10_000     # dense adjacency; beyond it only the edge stream
-EIGENSOLVE_LIMIT = 4000       # dense eigensolve, and the matrix oracle's inverse
+EIGENSOLVE_LIMIT = 4000       # each dense N x N matrix: adjacency, B, V, eigensolve, inverse
 BRANCH_LIMIT = 2**23          # branches 2^D held at once, ~65 B each downstream
 GRID_POINT_LIMIT = 2**22      # real grid points, ~120 B each through solve/simulate
 
@@ -182,7 +181,7 @@ def _write_links(spec: LatticeSpec, edges: np.ndarray, per_dim) -> np.ndarray:
 def link_matrix(spec: LatticeSpec, per_dim) -> np.ndarray:
     """Dense N x N matrix holding per_dim[d] at both entries of every dimension-d link."""
     # before any edge is listed
-    check_size("dense adjacency", node_count(spec), DENSE_NODE_LIMIT)
+    check_size("dense adjacency", node_count(spec), EIGENSOLVE_LIMIT)
     return _write_links(spec, supergraph_edges(spec), per_dim)
 
 

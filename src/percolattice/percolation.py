@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    DENSE_NODE_LIMIT,
+    EIGENSOLVE_LIMIT,
     _ROW_CHUNK,
     LatticeSpec,
     _write_links,
@@ -71,7 +71,7 @@ def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
 
 def adjacency(sample: PercolationSample) -> np.ndarray:
     """Dense 0/1 adjacency of the sampled graph."""
-    check_size("dense adjacency", node_count(sample.spec), DENSE_NODE_LIMIT)
+    check_size("dense adjacency", node_count(sample.spec), EIGENSOLVE_LIMIT)
     return _write_links(sample.spec, sample.edges, [1.0] * sample.spec.ndim)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from percolattice import canonical
 from percolattice.canonical import (
+    OracleError,
     SolverError,
     _solve_level,
     build_problem,
@@ -520,6 +521,18 @@ class TestMatrixOracle:
         assert solution_form_residual(spec, c) <= 1e-11
         # Im C is positive definite; Cholesky is several times faster than eigvalsh
         np.linalg.cholesky((c - c.conj().T) / 2j)
+
+    def test_refuses_a_resolvent_outside_the_solution_form(self, monkeypatch):
+        # nodes 0 and 6 of (4,5) differ in both digits: B gains one off-link pair
+        spec = LatticeSpec((4, 5), (0.7, 0.5))
+        b = expected_matrix(spec)
+        assert b[0, 6] == 0.0
+        b[0, 6] = b[6, 0] = 1e-3
+        monkeypatch.setattr(canonical, "expected_matrix", lambda s: b)
+        z = 0.2 + 0.5j
+        a = solve_alpha(build_problem(spec), z).alpha_principal
+        with pytest.raises(OracleError, match="leaves the Kronecker solution form"):
+            matrix_k1_oracle(spec, z, a)
 
     def test_rejects_large_instances(self):
         with pytest.raises(SizeLimitError, match="^oracle refused for N=6400 > 4000$"):

@@ -531,10 +531,10 @@ class TestSizeGates:
     TWOS = ",".join(["2"] * 24)
     HALVES = ",".join(["0.5"] * 24)
 
-    # (module, limit name, lowered value or None, argv, message): lowering a
-    # limit reaches a gate that an earlier one shadows at the real limits.
-    # eigenvalues' own gate shares monte_carlo_spectrum's limit, so no run
-    # reaches it; test_espectrum calls it directly.
+    # (module, limit name, lowered value or None, argv, message): lowering one
+    # module's binding of a limit reaches a gate that an earlier one shadows
+    # at the real limits. Every dense gate reads EIGENSOLVE_LIMIT, so no run
+    # reaches eigenvalues' own gate; test_espectrum calls it directly.
     GATES = [
         pytest.param(None, None, None,
                      ["solve", "--dims", TWOS, "--probs", HALVES],
@@ -545,14 +545,14 @@ class TestSizeGates:
         pytest.param(cli, "EIGENSOLVE_LIMIT", 5000,
                      ["oracle", "--dims", "64,64", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
                      "oracle refused for N=4096 > 4000", id="matrix_k1_oracle"),
-        pytest.param(lattice, "DENSE_NODE_LIMIT", 10,
+        pytest.param(lattice, "EIGENSOLVE_LIMIT", 10,
                      ["oracle", "--dims", "3,4", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
                      "dense adjacency refused for N=12 > 10", id="link_matrix"),
         pytest.param(None, None, None,
                      ["simulate", "--dims", "80,80", "--probs", "0.5,0.5", "--trials", "1"],
                      "dense eigensolve refused for N=6400 > 4000",
                      id="monte_carlo_spectrum"),
-        pytest.param(percolation, "DENSE_NODE_LIMIT", 10,
+        pytest.param(percolation, "EIGENSOLVE_LIMIT", 10,
                      ["simulate", "--dims", "3,4", "--probs", "0.7,0.5", "--trials", "1"],
                      "dense adjacency refused for N=12 > 10", id="percolation_adjacency"),
         pytest.param(None, None, None,
@@ -777,6 +777,18 @@ class TestOracle:
             f"z={z} |solve_alpha - matrix_k1_oracle| = 1.000e-06\n"
             for z in ["0.2+0.5j", "-0.3+1j"][:lines])
         assert captured.err == f"oracle failure: {message}\n"
+
+    def test_a_resolvent_outside_the_solution_form_exits_4(self, monkeypatch, capsys):
+        # nodes 0 and 6 of (4,5) differ in both digits: B gains one off-link pair
+        b = lattice.expected_matrix(lattice.LatticeSpec((4, 5), (0.7, 0.5)))
+        b[0, 6] = b[6, 0] = 1e-3
+        monkeypatch.setattr(canonical, "expected_matrix", lambda spec: b)
+        assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z=0.2+0.5i"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("oracle failure: resolvent at the scalar solution "
+                                       "leaves the Kronecker solution form: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize("dims, probs", [((4, 5), (0.7, 0.5)),
                                              ((3, 3, 4), (0.8, 0.7, 0.6))])

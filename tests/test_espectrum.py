@@ -28,9 +28,10 @@ from percolattice.lattice import (
     expected_degree,
     expected_matrix,
     expected_spectrum,
+    link_matrix,
     node_count,
 )
-from percolattice.percolation import adjacency, sample
+from percolattice.percolation import PercolationSample, adjacency, sample
 
 
 class TestEigenvalues:
@@ -106,6 +107,25 @@ class TestEigenvalues:
     def test_rejects_oversize(self):
         with pytest.raises(SizeLimitError, match="refused"):
             eigenvalues(np.zeros((4001, 4001)))
+
+
+@pytest.mark.parametrize("gate, what", [
+    (lambda spec: link_matrix(spec, [1.0]), "dense adjacency"),
+    (lambda spec: adjacency(PercolationSample(spec, np.empty((0, 3), dtype=np.int32))),
+     "dense adjacency"),
+    (lambda spec: eigenvalues(np.broadcast_to(0.0, (4001, 4001))), "dense eigensolve"),
+], ids=["link_matrix", "adjacency", "eigenvalues"])
+def test_every_dense_gate_refuses_one_past_the_cap(gate, what):
+    # one cap for every dense N x N matrix, checked before N^2 is allocated
+    spec = LatticeSpec((4001,), (0.5,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"^{what} refused for N=4001 > 4000$"):
+            gate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _check_asymmetry_in_last_strip(copy):
@@ -213,13 +233,31 @@ class TestInPlaceEigenvalues:
         with pytest.raises(ValueError, match="writeable C-contiguous float64 square"):
             solve(matrix)
 
+    @pytest.mark.parametrize("found", [[], ["a", "b"]], ids=["none", "two"])
+    def test_no_binding_without_one_bundled_library(self, monkeypatch, found):
+        monkeypatch.setattr(_openblas.glob, "glob", lambda pattern: found)
+        assert _openblas._library_path() is None
+        assert _openblas.in_place_eigvalsh.__wrapped__() is None
+
+    def test_no_binding_without_the_symbol(self, monkeypatch):
+        if _openblas._library_path() is None:
+            pytest.skip("numpy does not bundle scipy-openblas")
+        monkeypatch.setattr(_openblas, "_DSYEVD", "scipy_no_such_routine_64_")
+        assert _openblas.in_place_eigvalsh.__wrapped__() is None
+
     def test_falls_back_without_the_bundled_lapack(self, monkeypatch):
         # numpy on MKL or Accelerate: the loader finds no scipy-openblas
-        monkeypatch.setattr(_openblas, "in_place_eigvalsh", lambda: None)
-        a = _near_symmetric(300, 8)
-        b = a.copy()
-        _assert_same_bits(eigenvalues(b), np.linalg.eigvalsh(a))
-        assert np.array_equal(a, b)
+        monkeypatch.setattr(_openblas, "_library_path", lambda: None)
+        # the cached binding is looked up again here, and again after the test
+        _openblas.in_place_eigvalsh.cache_clear()
+        try:
+            assert _openblas.in_place_eigvalsh() is None
+            a = _near_symmetric(300, 8)
+            b = a.copy()
+            _assert_same_bits(eigenvalues(b), np.linalg.eigvalsh(a))
+            assert np.array_equal(a, b)
+        finally:
+            _openblas.in_place_eigvalsh.cache_clear()
 
     def test_binding_is_numpys_own_library(self):
         try:

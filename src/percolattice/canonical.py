@@ -7,9 +7,8 @@ scalar self-consistency equation for the principal coefficient,
 
 whose unique solution with Im z * Im alpha > 0 is the transform of the
 deterministic equivalent distribution.  The reduction is not trusted on
-its own: matrix_k1_oracle takes the caller's scalar solution alpha through
-one step of the full N x N canonical map, built from the edge listing with
-no closed form, and reports how far the result's diagonal is from alpha.
+its own: matrix_k1_oracle takes the caller's alpha through one step of the
+full N x N canonical map, built from the edge listing with no closed form.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from .lattice import (
     expected_degree,
     expected_matrix,
     expected_spectrum,
-    link_matrix,
     node_count,
+    supergraph_edges,
     variance_sum,
 )
 
@@ -91,7 +90,7 @@ _TOL = 1e-12
 # Sweeps per level.
 _MAX_SWEEPS = 200
 
-# Matrix oracle: the largest relative distance of C from the solution form.
+# Matrix oracle: the largest relative miss of B's solution form and V's row sums.
 _FORM_TOL = 1e-11
 
 
@@ -257,12 +256,6 @@ def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -
     return {i: complex(a) for i, a in zip(np.ndindex(coeff.shape), coeff.ravel())}
 
 
-def variance_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Entrywise variances of the centered scaled adjacency, dense."""
-    gamma = expected_degree(spec)
-    return link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
-
-
 def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
     """Relative Frobenius distance of C from the Kronecker solution-form span.
 
@@ -274,7 +267,7 @@ def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
     the span: O(D N^2) work in one N x N buffer.
     """
     rev = spec.dims[::-1]  # node index varies the first dimension fastest
-    proj = np.array(c, dtype=complex).reshape(rev + rev)
+    proj = np.array(c, dtype=np.result_type(c, float)).reshape(rev + rev)
     for axis, m in enumerate(rev):
         # the (row, column) axis pair of one dimension, moved last: a view
         block = np.moveaxis(proj, (axis, spec.ndim + axis), (-2, -1))
@@ -287,31 +280,40 @@ def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
     return float(np.linalg.norm(proj) / max(np.linalg.norm(c), 1e-300))
 
 
-def matrix_k1_oracle(spec: LatticeSpec, z: complex, alpha: complex):
-    """One step of the matrix-level canonical map at the caller's alpha.
+def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
+    """tr C / N for C = F(alpha I), one step of the matrix-level canonical map.
 
-    The N x N canonical system K1 is C = F(C) = (B - zI - diag(V diag C))^{-1},
-    with B and V dense from the edge listing. F reads C only through diag C,
-    so for alpha = solve_alpha's value at z, C = F(alpha I) solves K1 exactly
-    when diag C = alpha. C must lie in the Kronecker solution form, whose
-    diagonal is the constant tr C / N, so |alpha - tr C / N| is zero exactly
-    at K1's fixed point. Im z * Im alpha > 0 and V >= 0 give each shift entry
-    an Im part of sign s = sign(Im z), so s * Im C = s * C Im(shift) C^* is
-    positive definite by construction, and K1 has exactly one such solution
-    (Helton, Rashidi Far and Speicher, IMRN 2007). Returns (tr C / N, C).
+    K1 is C = F(C) = (B - zI - diag(V diag C))^{-1}, B and V from the edge
+    listing. F reads only diag C, so at solve_alpha's alpha, C = F(alpha I)
+    solves K1 exactly when diag C = alpha. V's rows sum to sigma^2, so
+    C = (B - wI)^{-1}, w = z + sigma^2 alpha, and tr C = sum 1/(lambda_i(B) - w).
+    The Kronecker solution form is an algebra closed under inversion, so C
+    has a constant diagonal when B lies in it. Im C = Im(w) C C^* is definite,
+    and K1 has one such solution (Helton, Rashidi Far and Speicher, IMRN 2007).
+    z is a scalar or 1-D array, alpha one value or one per z. V's row sums and
+    B's form are checked (else OracleError) and B eigensolved once per call.
     """
     n = node_count(spec)
     check_size("oracle", n, EIGENSOLVE_LIMIT)
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("matrix_k1_oracle requires Im z != 0")
-    shift = z + alpha * variance_matrix(spec).sum(axis=1)
-    c = np.linalg.inv(expected_matrix(spec) - np.diag(shift))
-    residual = solution_form_residual(spec, c)
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1 or np.any(zs.imag == 0):
+        raise ValueError("matrix_k1_oracle takes a scalar or 1-D array of z with Im z != 0")
+    sig2 = variance_sum(spec)
+    shifts = zs + sig2 * np.broadcast_to(alpha, zs.shape)
+    edges = supergraph_edges(spec)
+    per_dim = np.array([p * (1 - p) for p in spec.probs]) / expected_degree(spec) ** 2
+    rows = np.bincount(edges[:, :2].ravel() - 1, np.repeat(per_dim[edges[:, 2]], 2), n)
+    gap = np.abs(rows - sig2).max()
+    if gap > _FORM_TOL * sig2:
+        raise OracleError(f"V's row sums miss sigma^2 by {gap:.3e} > {_FORM_TOL:.1e} sigma^2")
+    b = expected_matrix(spec)
+    residual = solution_form_residual(spec, b)
     if residual > _FORM_TOL:
-        raise OracleError(f"resolvent at the scalar solution leaves the Kronecker "
-                          f"solution form: relative residual {residual:.3e} > {_FORM_TOL:.1e}")
-    return complex(np.trace(c) / n), c
+        raise OracleError(f"expected matrix B leaves the Kronecker solution form: "
+                          f"relative residual {residual:.3e} > {_FORM_TOL:.1e}")
+    lam = np.linalg.eigvalsh(b)
+    traces = np.array([np.mean(1.0 / (lam - w)) for w in shifts.ravel()])
+    return complex(traces[0]) if zs.ndim == 0 else traces
 
 
 def oracle_z_grid() -> list[complex]:

@@ -288,16 +288,13 @@ def cmd_compare(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     spec = cfg.spec()
     check_size("oracle", node_count(spec), EIGENSOLVE_LIMIT)  # before the 2^D branches
-    problem = build_problem(spec)
-    zs = cfg.z if cfg.z is not None else oracle_z_grid()
-    alphas = solve_alpha(problem, np.array(zs)).alpha_principal
-    worst = 0.0
-    for z, s_scalar in zip(zs, alphas):
-        s_matrix = matrix_k1_oracle(spec, z, s_scalar)[0]  # no C outlives its z
-        diff = abs(s_scalar - s_matrix)
-        worst = max(worst, diff)
+    zs = np.array(cfg.z if cfg.z is not None else oracle_z_grid())
+    alphas = solve_alpha(build_problem(spec), zs).alpha_principal
+    diffs = np.abs(alphas - matrix_k1_oracle(spec, zs, alphas))
+    for z, diff in zip(zs, diffs):
         print(f"z={z:.6g} |solve_alpha - matrix_k1_oracle| = {diff:.3e}")
-    if worst > 1e-8:
+    worst = diffs.max()
+    if not worst <= 1e-8:  # a NaN fails too
         raise OracleError(f"worst disagreement {worst:.3e} exceeds 1e-08")
     print(f"OK: worst disagreement {worst:.3e}")
     return EXIT_OK

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Size caps, each enforced through check_size.
-EIGENSOLVE_LIMIT = 4000       # each dense N x N matrix: adjacency, B, V, eigensolve, inverse
+EIGENSOLVE_LIMIT = 4000       # each dense N x N matrix: an adjacency or B, and its eigensolve
 BRANCH_LIMIT = 2**23          # branches 2^D held at once, ~65 B each downstream
 GRID_POINT_LIMIT = 2**22      # real grid points, ~120 B each through solve/simulate
 

@@ -16,7 +16,6 @@ from percolattice.canonical import (
     recover_all_alphas,
     solution_form_residual,
     solve_alpha,
-    variance_matrix,
 )
 from percolattice.inversion import auto_grid, default_epsilon
 from percolattice.lattice import (
@@ -25,7 +24,9 @@ from percolattice.lattice import (
     branch_table,
     expected_degree,
     expected_matrix,
+    link_matrix,
     node_count,
+    variance_sum,
 )
 
 from walk_moments import exact_moments
@@ -40,6 +41,18 @@ def _solution_form_basis(spec):
         # np.kron varies its right factor fastest, nodes their first digit
         basis.append(reduce(np.kron, reversed(blocks)))
     return basis
+
+
+def _variance_matrix(spec):
+    """V, the entrywise variances of the centered scaled adjacency, dense."""
+    gamma = expected_degree(spec)
+    return link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
+
+
+def _dense_resolvent(spec, z, alpha):
+    """C = F(alpha I) = (B - zI - diag(V diag(alpha I)))^{-1} by one dense inverse."""
+    shift = z + alpha * _variance_matrix(spec).sum(axis=1)
+    return np.linalg.inv(expected_matrix(spec) - np.diag(shift))
 
 
 def _g(problem, z, a):
@@ -228,7 +241,7 @@ class TestSolveAlpha:
         # direct check of the stated scalar equation
         resid = a - (0.5 / (1 - z - a) + 0.5 / (-1 - z - a))
         assert abs(resid) < 1e-11
-        s, _ = matrix_k1_oracle(spec, z, a)
+        s = matrix_k1_oracle(spec, z, a)
         assert abs(a - s) < 1e-8
 
     def test_one_dimensional_quadratic_limit(self):
@@ -464,7 +477,7 @@ class TestMatrixOracle:
         n = node_count(spec)
         exact = np.trace(np.linalg.inv(expected_matrix(spec) - z * np.eye(n))) / n
         a = solve_alpha(build_problem(spec), z).alpha_principal
-        s, _ = matrix_k1_oracle(spec, z, a)
+        s = matrix_k1_oracle(spec, z, a)
         assert abs(s - exact) < 1e-11
 
     def test_agreement_with_scalar_solver(self):
@@ -472,7 +485,7 @@ class TestMatrixOracle:
         prob = build_problem(spec)
         z = 0.2 + 0.7j
         a = solve_alpha(prob, z).alpha_principal
-        s, _ = matrix_k1_oracle(spec, z, a)
+        s = matrix_k1_oracle(spec, z, a)
         assert abs(a - s) < 1e-8
 
     @pytest.mark.parametrize("dims, probs", [((4, 5), (0.7, 0.5)),
@@ -485,8 +498,31 @@ class TestMatrixOracle:
         for z in oracle_z_grid():
             a = solve_alpha(prob, z).alpha_principal
             off = a * (1 + 1e-6)
-            s, _ = matrix_k1_oracle(spec, z, off)
+            s = matrix_k1_oracle(spec, z, off)
             assert abs(off - s) >= 0.5e-6 * abs(a), z
+
+    @pytest.mark.parametrize("dims, probs", [
+        ((4, 5), (0.7, 0.5)),
+        ((3, 3, 4), (0.8, 0.7, 0.6)),
+        ((2, 3, 4, 5, 5), (0.9, 0.7, 0.5, 0.3, 0.2)),
+    ])
+    def test_matches_the_dense_inverse(self, dims, probs):
+        # one call for the whole grid against tr F(alpha I) / N by one dense
+        # inverse per z, the route the eigensolve of B replaced
+        spec = LatticeSpec(dims, probs)
+        zs = np.array(oracle_z_grid())
+        alphas = solve_alpha(build_problem(spec), zs).alpha_principal
+        got = matrix_k1_oracle(spec, zs, alphas)
+        assert got.shape == zs.shape
+        for z, a, s in zip(zs, alphas, got):
+            ref = np.trace(_dense_resolvent(spec, z, a)) / node_count(spec)
+            assert abs(s - ref) <= 1e-13, z
+
+    def test_refuses_a_variance_row_sum_off_sigma2(self, monkeypatch):
+        # V's row sums come from the edge listing, sigma^2 from the closed form
+        monkeypatch.setattr(canonical, "variance_sum", lambda s: 1.01 * variance_sum(s))
+        with pytest.raises(OracleError, match=r"^V's row sums miss sigma\^2 by "):
+            matrix_k1_oracle(LatticeSpec((4, 5), (0.7, 0.5)), 0.2 + 0.5j, 1j)
 
     def test_herglotz_at_random_points(self):
         spec = LatticeSpec((3, 3), (0.6, 0.8))
@@ -495,7 +531,7 @@ class TestMatrixOracle:
         for _ in range(20):
             z = complex(rng.uniform(-1.5, 1.5),
                         rng.choice([-1, 1]) * rng.uniform(0.05, 2))
-            s, _ = matrix_k1_oracle(spec, z, solve_alpha(prob, z).alpha_principal)
+            s = matrix_k1_oracle(spec, z, solve_alpha(prob, z).alpha_principal)
             assert z.imag * s.imag > 0
 
     # Im z is the CLI's default epsilon for the spec, where its density curves
@@ -516,8 +552,8 @@ class TestMatrixOracle:
         assert plot_eps == pytest.approx(eps, abs=1e-5)
         z = complex(prob.atoms[np.argmax(prob.weights)] + offset, plot_eps)
         a = solve_alpha(prob, z).alpha_principal
-        s, c = matrix_k1_oracle(spec, z, a)
-        assert abs(a - s) <= 1e-8
+        assert abs(a - matrix_k1_oracle(spec, z, a)) <= 1e-8
+        c = _dense_resolvent(spec, z, a)
         assert solution_form_residual(spec, c) <= 1e-11
         # Im C is positive definite; Cholesky is several times faster than eigvalsh
         np.linalg.cholesky((c - c.conj().T) / 2j)
@@ -545,7 +581,7 @@ class TestMatrixOracle:
     def test_variance_matrix_row_sums(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
         prob = build_problem(spec)
-        rows = variance_matrix(spec).sum(axis=1)
+        rows = _variance_matrix(spec).sum(axis=1)
         assert np.allclose(rows, prob.variance_sum, atol=1e-15)
 
 
@@ -569,17 +605,19 @@ class TestSolutionFormResidual:
         rng = np.random.default_rng(11)
         for spec in self._random_specs(rng, 40):
             n = node_count(spec)
-            c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            ref = self._lstsq_residual(spec, c)
-            assert abs(solution_form_residual(spec, c) - ref) <= 1e-12 * ref
+            real = rng.normal(size=(n, n))
+            for c in (real, real + 1j * rng.normal(size=(n, n))):
+                ref = self._lstsq_residual(spec, c)
+                assert abs(solution_form_residual(spec, c) - ref) <= 1e-12 * ref
 
     def test_zero_inside_the_span(self):
         rng = np.random.default_rng(12)
         for spec in self._random_specs(rng, 40):
             basis = _solution_form_basis(spec)
-            coef = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            c = sum(a * t for a, t in zip(coef, basis))
-            assert solution_form_residual(spec, c) <= 1e-14
+            real = rng.normal(size=len(basis))
+            for coef in (real, real + 1j * rng.normal(size=len(basis))):
+                c = sum(a * t for a, t in zip(coef, basis))
+                assert solution_form_residual(spec, c) <= 1e-14
 
     def test_memory_at_oracle_cap(self):
         # N=600, the oracle's cap before it shared EIGENSOLVE_LIMIT: the
@@ -587,7 +625,7 @@ class TestSolutionFormResidual:
         spec = LatticeSpec((2, 3, 4, 5, 5), (0.9, 0.7, 0.5, 0.3, 0.2))
         z = 0.2 + 0.5j
         a = solve_alpha(build_problem(spec), z).alpha_principal
-        _, c = matrix_k1_oracle(spec, z, a)
+        c = _dense_resolvent(spec, z, a)
         tracemalloc.start()
         try:
             residual = solution_form_residual(spec, c)

@@ -755,19 +755,20 @@ class TestOracle:
         assert capsys.readouterr() == from_config
         assert from_config.out.count("z=") == 1
 
-    @pytest.mark.parametrize("raise_at, lines, message", [
-        (None, 2, "worst disagreement 1.000e-06 exceeds 1e-08"),
-        (-0.3 + 1j, 1, "resolvent at the scalar solution leaves the Kronecker solution "
-                       "form: relative residual 1.000e-03 > 1.0e-11"),
+    @pytest.mark.parametrize("form_fails, lines, message", [
+        (False, 2, "worst disagreement 1.000e-06 exceeds 1e-08"),
+        (True, 0, "expected matrix B leaves the Kronecker solution form: "
+                  "relative residual 1.000e-03 > 1.0e-11"),
     ], ids=["disagreement", "oracle-error"])
-    def test_failure_exits_4(self, monkeypatch, capsys, raise_at, lines, message):
+    def test_failure_exits_4(self, monkeypatch, capsys, form_fails, lines, message):
         # a disagreement used to print FAIL: on stdout and return 4 past main's
-        # except clauses; either failure now ends in one line on stderr
+        # except clauses; either failure now ends in one line on stderr, and a
+        # form failure, found before any z, prints no per-z line
         def off_by_1e6(spec, z, alpha):
-            if z == raise_at:
-                raise OracleError("resolvent at the scalar solution leaves the Kronecker "
-                                  "solution form: relative residual 1.000e-03 > 1.0e-11")
-            return alpha + 1e-6, None
+            if form_fails:
+                raise OracleError("expected matrix B leaves the Kronecker solution form: "
+                                  "relative residual 1.000e-03 > 1.0e-11")
+            return alpha + 1e-6
 
         monkeypatch.setattr(cli, "matrix_k1_oracle", off_by_1e6)
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5",
@@ -786,8 +787,19 @@ class TestOracle:
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z=0.2+0.5i"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("oracle failure: resolvent at the scalar solution "
+        assert captured.err.startswith("oracle failure: expected matrix B "
                                        "leaves the Kronecker solution form: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_a_variance_row_sum_off_sigma2_exits_4(self, monkeypatch, capsys):
+        # sigma^2 from a closed form 1% high: V's row sums from the edge listing
+        # disagree before any z is checked
+        right = lattice.variance_sum
+        monkeypatch.setattr(canonical, "variance_sum", lambda spec: 1.01 * right(spec))
+        assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("oracle failure: V's row sums miss sigma^2 by ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize("dims, probs", [((4, 5), (0.7, 0.5)),

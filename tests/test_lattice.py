@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolattice import lattice
-from percolattice.canonical import variance_matrix
 from percolattice.lattice import (
     BRANCH_LIMIT,
     LatticeSpec,
@@ -338,7 +337,9 @@ class TestLinkMatrix:
     @staticmethod
     def _assert_bytes_match_reference(spec):
         want = _kron_reference_matrices(spec)
-        got = (lattice_adjacency(spec), expected_matrix(spec), variance_matrix(spec))
+        gamma = expected_degree(spec)
+        v = link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
+        got = (lattice_adjacency(spec), expected_matrix(spec), v)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()

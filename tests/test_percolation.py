@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from percolattice.canonical import build_problem, variance_matrix
+from percolattice.canonical import build_problem
 from percolattice.espectrum import row_normalized_eigenvalues, trial_seed
 from percolattice.lattice import (
     _ROW_CHUNK,
@@ -11,6 +11,7 @@ from percolattice.lattice import (
     _write_links,
     expected_degree,
     expected_matrix,
+    link_matrix,
     node_count,
     supergraph_edges,
 )
@@ -213,7 +214,9 @@ class TestMatrices:
         for s in trial_draws(spec, 2024, trials):
             acc += scaled_adjacency(s)
         acc /= trials
-        se = np.sqrt(variance_matrix(spec) / trials)
+        gamma = expected_degree(spec)
+        v = link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
+        se = np.sqrt(v / trials)
         link = se > 0
         assert np.all(np.abs(acc - b)[link] <= 3 * se[link])
         assert np.array_equal(acc[~link], b[~link])

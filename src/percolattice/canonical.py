@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .espectrum import eigenvalues
 from .lattice import (
     EIGENSOLVE_LIMIT,
     LatticeSpec,
+    _write_links,
     branch_table,
     check_size,
     expected_degree,
-    expected_matrix,
     expected_spectrum,
     node_count,
     supergraph_edges,
@@ -283,7 +284,7 @@ def solution_form_residual(spec: LatticeSpec, c: np.ndarray) -> float:
 def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
     """tr C / N for C = F(alpha I), one step of the matrix-level canonical map.
 
-    K1 is C = F(C) = (B - zI - diag(V diag C))^{-1}, B and V from the edge
+    K1 is C = F(C) = (B - zI - diag(V diag C))^{-1}, B and V from one edge
     listing. F reads only diag C, so at solve_alpha's alpha, C = F(alpha I)
     solves K1 exactly when diag C = alpha. V's rows sum to sigma^2, so
     C = (B - wI)^{-1}, w = z + sigma^2 alpha, and tr C = sum 1/(lambda_i(B) - w).
@@ -301,17 +302,19 @@ def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
     sig2 = variance_sum(spec)
     shifts = zs + sig2 * np.broadcast_to(alpha, zs.shape)
     edges = supergraph_edges(spec)
-    per_dim = np.array([p * (1 - p) for p in spec.probs]) / expected_degree(spec) ** 2
-    rows = np.bincount(edges[:, :2].ravel() - 1, np.repeat(per_dim[edges[:, 2]], 2), n)
-    gap = np.abs(rows - sig2).max()
+    gamma = expected_degree(spec)
+    var = (np.array([p * (1 - p) for p in spec.probs]) / gamma**2)[edges[:, 2]]  # per link
+    gap = np.abs(sum(np.bincount(end - 1, var, n) for end in edges[:, :2].T) - sig2).max()
+    del var
     if gap > _FORM_TOL * sig2:
         raise OracleError(f"V's row sums miss sigma^2 by {gap:.3e} > {_FORM_TOL:.1e} sigma^2")
-    b = expected_matrix(spec)
+    b = _write_links(spec, edges, [p / gamma for p in spec.probs])
+    del edges  # before the form check's N x N copy of B
     residual = solution_form_residual(spec, b)
     if residual > _FORM_TOL:
         raise OracleError(f"expected matrix B leaves the Kronecker solution form: "
                           f"relative residual {residual:.3e} > {_FORM_TOL:.1e}")
-    lam = np.linalg.eigvalsh(b)
+    lam = eigenvalues(b)  # B is exactly symmetric and read no more: solved in place
     traces = np.array([np.mean(1.0 / (lam - w)) for w in shifts.ravel()])
     return complex(traces[0]) if zs.ndim == 0 else traces
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalProblem
 from .lattice import GRID_POINT_LIMIT, check_size
 
 # Tiny negative densities are rounding noise; anything worse means the
@@ -122,8 +121,8 @@ def check_grid(points: int, margin: float) -> None:
         raise ValueError(f"grid span overflows at margin {margin:g}; choose a smaller margin")
 
 
-def auto_grid(problem: CanonicalProblem, points: int, margin: float) -> np.ndarray:
-    """The span grid of all branch values, padded by margin + 4 sigma."""
+def auto_grid(problem, points: int, margin: float) -> np.ndarray:
+    """The span grid of a CanonicalProblem's branch values, padded by margin + 4 sigma."""
     check_grid(points, margin)  # so its errors name the caller's margin
     w = margin + 4.0 * math.sqrt(problem.variance_sum)
     return span_grid(problem.atoms.min(), problem.atoms.max(), points, w)

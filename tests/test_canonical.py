@@ -29,6 +29,7 @@ from percolattice.lattice import (
     variance_sum,
 )
 
+from k1_support import support_edges
 from walk_moments import exact_moments
 
 
@@ -564,11 +565,25 @@ class TestMatrixOracle:
         b = expected_matrix(spec)
         assert b[0, 6] == 0.0
         b[0, 6] = b[6, 0] = 1e-3
-        monkeypatch.setattr(canonical, "expected_matrix", lambda s: b)
+        monkeypatch.setattr(canonical, "_write_links", lambda s, edges, per_dim: b)
         z = 0.2 + 0.5j
         a = solve_alpha(build_problem(spec), z).alpha_principal
         with pytest.raises(OracleError, match="leaves the Kronecker solution form"):
             matrix_k1_oracle(spec, z, a)
+
+    def test_holds_one_listing_beside_b(self):
+        # B and the form check's copy of it are the peak: the listing and the
+        # per-link variances are gone by then
+        spec = LatticeSpec((2000,), (0.5,))
+        zs = np.array(oracle_z_grid())
+        alphas = solve_alpha(build_problem(spec), zs).alpha_principal
+        tracemalloc.start()
+        try:
+            matrix_k1_oracle(spec, zs, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * node_count(spec) ** 2 + 2 * 2**20
 
     def test_rejects_large_instances(self):
         with pytest.raises(SizeLimitError, match="^oracle refused for N=6400 > 4000$"):
@@ -724,6 +739,43 @@ class TestExactMoments:
         m5, m6 = exact_moments(spec, 6)[3:]
         k1 = _k1_moments(build_problem(spec), 6)
         assert (f"{m5 - k1[5]:.2e}", f"{m6 - k1[6]:.3e}") == (m5_gap, m6_gap)
+
+
+class TestK1Support:
+    # Figure 1a, Figure 1b, one ring with a far Perron lobe, a sparse Figure 1a
+    # and perfbench's det-sweep D=5 solve, with their lobe counts
+    SPECS = [
+        pytest.param((30, 50), (0.7, 0.5), 4, id="fig1a"),
+        pytest.param((10, 10, 20), (0.8, 0.7, 0.6), 7, id="fig1b"),
+        pytest.param((400,), (0.1,), 2, id="ring-400"),
+        pytest.param((30, 50), (0.05, 0.05), 2, id="sparse-30x50"),
+        pytest.param((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2), 4, id="det-sweep-d5"),
+    ]
+
+    @staticmethod
+    def _density(problem, x, eps):
+        return solve_alpha(problem, np.asarray(x) + 1j * eps).alpha_principal.imag / np.pi
+
+    @pytest.mark.parametrize("dims, probs, lobes", SPECS)
+    def test_density_signs_at_every_edge(self, dims, probs, lobes):
+        # 1e-4 inside an edge the density reads >= 1.8e-3 on these specs, and
+        # 1e-4 outside it <= 5.2e-7, also across Figure 1b's narrowest gap
+        problem = build_problem(LatticeSpec(dims, probs))
+        edges = support_edges(problem)
+        assert edges.shape == (lobes, 2)
+        assert np.all(np.diff(edges.ravel()) > 2e-4)
+        inside = np.concatenate([edges[:, 0] + 1e-4, edges[:, 1] - 1e-4])
+        outside = np.concatenate([edges[:, 0] - 1e-4, edges[:, 1] + 1e-4])
+        assert self._density(problem, inside, 1e-9).min() >= 1e-3
+        assert self._density(problem, outside, 1e-9).max() <= 1e-6
+
+    @pytest.mark.parametrize("dims, probs, lobes", SPECS)
+    def test_lobe_count_matches_a_fine_scan(self, dims, probs, lobes):
+        # the support lies within 2 sigma of the atoms, auto_grid spans 4 sigma
+        problem = build_problem(LatticeSpec(dims, probs))
+        on = self._density(problem, auto_grid(problem, 200_001, 0.0), 1e-7) > 1e-4
+        assert not on[0] and not on[-1]
+        assert np.count_nonzero(on[1:] & ~on[:-1]) == len(support_edges(problem)) == lobes
 
 
 def test_oracle_grid_shape():

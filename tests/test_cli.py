@@ -534,7 +534,8 @@ class TestSizeGates:
     # (module, limit name, lowered value or None, argv, message): lowering one
     # module's binding of a limit reaches a gate that an earlier one shadows
     # at the real limits. Every dense gate reads EIGENSOLVE_LIMIT, so no run
-    # reaches eigenvalues' own gate; test_espectrum calls it directly.
+    # reaches eigenvalues' own gate, and no command calls link_matrix;
+    # test_espectrum calls both directly.
     GATES = [
         pytest.param(None, None, None,
                      ["solve", "--dims", TWOS, "--probs", HALVES],
@@ -545,9 +546,6 @@ class TestSizeGates:
         pytest.param(cli, "EIGENSOLVE_LIMIT", 5000,
                      ["oracle", "--dims", "64,64", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
                      "oracle refused for N=4096 > 4000", id="matrix_k1_oracle"),
-        pytest.param(lattice, "EIGENSOLVE_LIMIT", 10,
-                     ["oracle", "--dims", "3,4", "--probs", "0.7,0.5", "--z", "0.2+0.5i"],
-                     "dense adjacency refused for N=12 > 10", id="link_matrix"),
         pytest.param(None, None, None,
                      ["simulate", "--dims", "80,80", "--probs", "0.5,0.5", "--trials", "1"],
                      "dense eigensolve refused for N=6400 > 4000",
@@ -783,7 +781,7 @@ class TestOracle:
         # nodes 0 and 6 of (4,5) differ in both digits: B gains one off-link pair
         b = lattice.expected_matrix(lattice.LatticeSpec((4, 5), (0.7, 0.5)))
         b[0, 6] = b[6, 0] = 1e-3
-        monkeypatch.setattr(canonical, "expected_matrix", lambda spec: b)
+        monkeypatch.setattr(canonical, "_write_links", lambda spec, edges, per_dim: b)
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z=0.2+0.5i"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -900,9 +898,30 @@ def test_compare_leaves_numpy_ma_unloaded(tmp_path):
     assert r.stdout.strip().splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("argv, listings", [
+    (["solve"], 0),
+    (["simulate"], 1),
+    (["compare"], 1),
+    (["compare", "--normalized"], 1),
+    (["oracle"], 1),
+    (["conditions"], 0),
+], ids=["solve", "simulate", "compare", "compare-normalized", "oracle", "conditions"])
+def test_each_command_lists_the_supergraph_at_most_once(tmp_path, monkeypatch, argv,
+                                                        listings):
+    # the oracle's V row sums and B share one listing
+    calls = {"supergraph_edges": 0}
+    wrapper = _counting(calls, "supergraph_edges", lattice.supergraph_edges)
+    for module in (lattice, percolation, canonical):
+        monkeypatch.setattr(module, "supergraph_edges", wrapper)
+    assert main([*argv, "--dims", "4,5", "--probs", "0.7,0.5", "--grid-points", "200",
+                 "--trials", "2", "--output", str(tmp_path / "o.csv")]) == 0
+    assert calls["supergraph_edges"] == listings
+
+
+# the oracle solves B through the binding too, since it shares eigenvalues
 @pytest.mark.parametrize("argv, loaded", [
     (["solve"], "0"),
-    (["oracle", "--z", "0.2+0.5i"], "0"),
+    (["oracle", "--z", "0.2+0.5i"], "1"),
     (["conditions"], "0"),
     (["simulate"], "1"),
 ])

@@ -28,7 +28,6 @@ from .lattice import (
     expected_degree,
     expected_matrix,
     expected_spectrum,
-    lattice_adjacency,
     node_count,
 )
 from .metrics import DistanceReport, compare

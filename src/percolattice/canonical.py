@@ -21,10 +21,10 @@ from .espectrum import eigenvalues
 from .lattice import (
     EIGENSOLVE_LIMIT,
     LatticeSpec,
-    _write_links,
     branch_table,
     check_size,
     expected_degree,
+    expected_matrix,
     expected_spectrum,
     node_count,
     supergraph_edges,
@@ -291,14 +291,16 @@ def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
     The Kronecker solution form is an algebra closed under inversion, so C
     has a constant diagonal when B lies in it. Im C = Im(w) C C^* is definite,
     and K1 has one such solution (Helton, Rashidi Far and Speicher, IMRN 2007).
-    z is a scalar or 1-D array, alpha one value or one per z. V's row sums and
+    z is a finite scalar or 1-D array off the real axis, checked before the
+    listing; alpha is one value or one per z, taken as it is. V's row sums and
     B's form are checked (else OracleError) and B eigensolved once per call.
     """
     n = node_count(spec)
     check_size("oracle", n, EIGENSOLVE_LIMIT)
     zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1 or np.any(zs.imag == 0):
-        raise ValueError("matrix_k1_oracle takes a scalar or 1-D array of z with Im z != 0")
+    if zs.ndim > 1 or np.any(zs.imag == 0) or not np.all(np.isfinite(zs)):
+        raise ValueError("matrix_k1_oracle takes a scalar or 1-D array of finite z "
+                         "with Im z != 0")
     sig2 = variance_sum(spec)
     shifts = zs + sig2 * np.broadcast_to(alpha, zs.shape)
     edges = supergraph_edges(spec)
@@ -308,7 +310,7 @@ def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
     del var
     if gap > _FORM_TOL * sig2:
         raise OracleError(f"V's row sums miss sigma^2 by {gap:.3e} > {_FORM_TOL:.1e} sigma^2")
-    b = _write_links(spec, edges, [p / gamma for p in spec.probs])
+    b = expected_matrix(spec, edges)
     del edges  # before the form check's N x N copy of B
     residual = solution_form_residual(spec, b)
     if residual > _FORM_TOL:

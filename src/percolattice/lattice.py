@@ -22,12 +22,12 @@ GRID_POINT_LIMIT = 2**22      # real grid points, ~120 B each through solve/simu
 # Node counts must stay addressable as signed 64-bit.
 _NODE_COUNT_LIMIT = 2**63 - 1
 
-# Listing rows drawn (percolation.sample) or written (_write_links) per
+# Listing rows drawn (percolation.sample) or written (link_matrix) per
 # step, so a trial's per-link temporaries (uniforms, probabilities, index
 # and value gathers) are one chunk's, not the whole listing's.  On an
 # 8-trial Figure 1a compare (2-vCPU Xeon), 2048 to 8192 gave the lowest
 # peak RSS, 16384 and 65536 0.15 and 0.4 MB more; 8192 takes the fewest steps.
-_ROW_CHUNK = 8192
+ROW_CHUNK = 8192
 
 
 class SizeLimitError(ValueError):
@@ -162,32 +162,22 @@ def supergraph_edges(spec: LatticeSpec) -> np.ndarray:
     return edges
 
 
-def _write_links(spec: LatticeSpec, edges: np.ndarray, per_dim) -> np.ndarray:
+def link_matrix(spec: LatticeSpec, edges: np.ndarray, per_dim) -> np.ndarray:
     """Dense N x N matrix holding per_dim[d] at both entries of every (i, j, d) row.
 
-    The rows are written one chunk at a time; no two rows share an entry,
-    so the matrix does not depend on the chunk size.
+    N over EIGENSOLVE_LIMIT is refused before N^2 is allocated. The rows are
+    written one chunk at a time; no two rows share an entry, so the matrix
+    does not depend on the chunk size.
     """
     n = node_count(spec)
+    check_size("dense adjacency", n, EIGENSOLVE_LIMIT)
     weights = np.asarray(per_dim, dtype=float)
     a = np.zeros((n, n))
-    for k in range(0, len(edges), _ROW_CHUNK):
-        rows = edges[k : k + _ROW_CHUNK]
+    for k in range(0, len(edges), ROW_CHUNK):
+        rows = edges[k : k + ROW_CHUNK]
         i, j = rows[:, 0] - 1, rows[:, 1] - 1
         a[i, j] = a[j, i] = weights[rows[:, 2]]
     return a
-
-
-def link_matrix(spec: LatticeSpec, per_dim) -> np.ndarray:
-    """Dense N x N matrix holding per_dim[d] at both entries of every dimension-d link."""
-    # before any edge is listed
-    check_size("dense adjacency", node_count(spec), EIGENSOLVE_LIMIT)
-    return _write_links(spec, supergraph_edges(spec), per_dim)
-
-
-def lattice_adjacency(spec: LatticeSpec) -> np.ndarray:
-    """Full 0/1 supergraph adjacency."""
-    return link_matrix(spec, [1.0] * spec.ndim)
 
 
 def expected_degree(spec: LatticeSpec) -> float:
@@ -239,7 +229,10 @@ def expected_spectrum(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     return atoms, merged
 
 
-def expected_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Expected scaled adjacency B = (1/gamma) sum_d p_d A_d, dense."""
+def expected_matrix(spec: LatticeSpec, edges: np.ndarray) -> np.ndarray:
+    """Expected scaled adjacency B = (1/gamma) sum_d p_d A_d, dense.
+
+    edges is supergraph_edges(spec); the weights p_d / gamma are B's one copy.
+    """
     gamma = expected_degree(spec)
-    return link_matrix(spec, [p / gamma for p in spec.probs])
+    return link_matrix(spec, edges, [p / gamma for p in spec.probs])

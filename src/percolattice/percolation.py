@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    EIGENSOLVE_LIMIT,
-    _ROW_CHUNK,
+    ROW_CHUNK,
     LatticeSpec,
-    _write_links,
-    check_size,
     expected_degree,
+    link_matrix,
     node_count,
     supergraph_edges,
     variance_sum,
@@ -56,14 +54,14 @@ def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     probs = np.asarray(spec.probs)
     keep = np.empty(len(edges), dtype=bool)
-    for k in range(0, len(edges), _ROW_CHUNK):
-        rows = edges[k : k + _ROW_CHUNK]
+    for k in range(0, len(edges), ROW_CHUNK):
+        rows = edges[k : k + ROW_CHUNK]
         np.less(rng.random(len(rows)), probs[rows[:, 2]], out=keep[k : k + len(rows)])
     # copied a chunk at a time: edges[keep] builds an int64 index of every kept row
     kept = np.empty((np.count_nonzero(keep), edges.shape[1]), dtype=edges.dtype)
     n = 0
-    for k in range(0, len(edges), _ROW_CHUNK):
-        rows = edges[k : k + _ROW_CHUNK][keep[k : k + _ROW_CHUNK]]
+    for k in range(0, len(edges), ROW_CHUNK):
+        rows = edges[k : k + ROW_CHUNK][keep[k : k + ROW_CHUNK]]
         kept[n : n + len(rows)] = rows
         n += len(rows)
     return PercolationSample(spec=spec, edges=kept)
@@ -71,8 +69,7 @@ def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
 
 def adjacency(sample: PercolationSample) -> np.ndarray:
     """Dense 0/1 adjacency of the sampled graph."""
-    check_size("dense adjacency", node_count(sample.spec), EIGENSOLVE_LIMIT)
-    return _write_links(sample.spec, sample.edges, [1.0] * sample.spec.ndim)
+    return link_matrix(sample.spec, sample.edges, [1.0] * sample.spec.ndim)
 
 
 def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:

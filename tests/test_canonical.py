@@ -26,6 +26,7 @@ from percolattice.lattice import (
     expected_matrix,
     link_matrix,
     node_count,
+    supergraph_edges,
     variance_sum,
 )
 
@@ -47,13 +48,14 @@ def _solution_form_basis(spec):
 def _variance_matrix(spec):
     """V, the entrywise variances of the centered scaled adjacency, dense."""
     gamma = expected_degree(spec)
-    return link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
+    per_dim = [p * (1 - p) / gamma**2 for p in spec.probs]
+    return link_matrix(spec, supergraph_edges(spec), per_dim)
 
 
 def _dense_resolvent(spec, z, alpha):
     """C = F(alpha I) = (B - zI - diag(V diag(alpha I)))^{-1} by one dense inverse."""
     shift = z + alpha * _variance_matrix(spec).sum(axis=1)
-    return np.linalg.inv(expected_matrix(spec) - np.diag(shift))
+    return np.linalg.inv(expected_matrix(spec, supergraph_edges(spec)) - np.diag(shift))
 
 
 def _g(problem, z, a):
@@ -455,7 +457,7 @@ class TestRecoverAllAlphas:
         idx = product((0, 1), repeat=2)
         c = sum(vec[i] * t for i, t in zip(idx, _solution_form_basis(spec)))
         n = node_count(spec)
-        exact = np.linalg.inv(expected_matrix(spec) - z * np.eye(n))
+        exact = np.linalg.inv(expected_matrix(spec, supergraph_edges(spec)) - z * np.eye(n))
         assert np.abs(c - exact).max() < 1e-10
 
     def test_principal_consistency_random_specs(self):
@@ -476,7 +478,8 @@ class TestMatrixOracle:
         spec = LatticeSpec((3, 4), (1.0, 1.0))
         z = 0.2 + 0.7j
         n = node_count(spec)
-        exact = np.trace(np.linalg.inv(expected_matrix(spec) - z * np.eye(n))) / n
+        b = expected_matrix(spec, supergraph_edges(spec))
+        exact = np.trace(np.linalg.inv(b - z * np.eye(n))) / n
         a = solve_alpha(build_problem(spec), z).alpha_principal
         s = matrix_k1_oracle(spec, z, a)
         assert abs(s - exact) < 1e-11
@@ -562,10 +565,10 @@ class TestMatrixOracle:
     def test_refuses_a_resolvent_outside_the_solution_form(self, monkeypatch):
         # nodes 0 and 6 of (4,5) differ in both digits: B gains one off-link pair
         spec = LatticeSpec((4, 5), (0.7, 0.5))
-        b = expected_matrix(spec)
+        b = expected_matrix(spec, supergraph_edges(spec))
         assert b[0, 6] == 0.0
         b[0, 6] = b[6, 0] = 1e-3
-        monkeypatch.setattr(canonical, "_write_links", lambda s, edges, per_dim: b)
+        monkeypatch.setattr(canonical, "expected_matrix", lambda s, edges: b)
         z = 0.2 + 0.5j
         a = solve_alpha(build_problem(spec), z).alpha_principal
         with pytest.raises(OracleError, match="leaves the Kronecker solution form"):
@@ -589,9 +592,23 @@ class TestMatrixOracle:
         with pytest.raises(SizeLimitError, match="^oracle refused for N=6400 > 4000$"):
             matrix_k1_oracle(LatticeSpec((80, 80), (0.7, 0.5)), 1j, 1j)
 
-    def test_rejects_real_z(self):
-        with pytest.raises(ValueError):
-            matrix_k1_oracle(LatticeSpec((3, 3), (0.5, 0.5)), 1.0, 1j)
+    def test_rejects_real_z(self, monkeypatch):
+        # and a non-finite z, before the listing: Im z = NaN used to list, write
+        # and eigensolve B and return nan, z = inf + 0.1i to return 0
+        def no_listing(spec):
+            raise AssertionError("listed the supergraph")
+
+        monkeypatch.setattr(canonical, "supergraph_edges", no_listing)
+        for z in (1.0, complex(0.1, np.nan), complex(np.inf, 0.1)):
+            with pytest.raises(ValueError):
+                matrix_k1_oracle(LatticeSpec((3, 3), (0.5, 0.5)), z, 1j)
+
+    def test_measures_a_non_finite_alpha(self):
+        # alpha is the value under test: a NaN is reported, not refused
+        with np.errstate(invalid="ignore"):
+            got = matrix_k1_oracle(LatticeSpec((3, 3), (0.5, 0.5)), 0.2 + 0.5j,
+                                   complex(np.nan, np.nan))
+        assert np.isnan(got)
 
     def test_variance_matrix_row_sums(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,8 +536,8 @@ class TestSizeGates:
     # (module, limit name, lowered value or None, argv, message): lowering one
     # module's binding of a limit reaches a gate that an earlier one shadows
     # at the real limits. Every dense gate reads EIGENSOLVE_LIMIT, so no run
-    # reaches eigenvalues' own gate, and no command calls link_matrix;
-    # test_espectrum calls both directly.
+    # reaches eigenvalues' own gate (test_espectrum calls it directly);
+    # link_matrix's gate is reached through percolation.adjacency.
     GATES = [
         pytest.param(None, None, None,
                      ["solve", "--dims", TWOS, "--probs", HALVES],
@@ -550,7 +552,7 @@ class TestSizeGates:
                      ["simulate", "--dims", "80,80", "--probs", "0.5,0.5", "--trials", "1"],
                      "dense eigensolve refused for N=6400 > 4000",
                      id="monte_carlo_spectrum"),
-        pytest.param(percolation, "EIGENSOLVE_LIMIT", 10,
+        pytest.param(lattice, "EIGENSOLVE_LIMIT", 10,
                      ["simulate", "--dims", "3,4", "--probs", "0.7,0.5", "--trials", "1"],
                      "dense adjacency refused for N=12 > 10", id="percolation_adjacency"),
         pytest.param(None, None, None,
@@ -779,9 +781,10 @@ class TestOracle:
 
     def test_a_resolvent_outside_the_solution_form_exits_4(self, monkeypatch, capsys):
         # nodes 0 and 6 of (4,5) differ in both digits: B gains one off-link pair
-        b = lattice.expected_matrix(lattice.LatticeSpec((4, 5), (0.7, 0.5)))
+        spec = lattice.LatticeSpec((4, 5), (0.7, 0.5))
+        b = lattice.expected_matrix(spec, lattice.supergraph_edges(spec))
         b[0, 6] = b[6, 0] = 1e-3
-        monkeypatch.setattr(canonical, "_write_links", lambda spec, edges, per_dim: b)
+        monkeypatch.setattr(canonical, "expected_matrix", lambda spec, edges: b)
         assert main(["oracle", "--dims", "4,5", "--probs", "0.7,0.5", "--z=0.2+0.5i"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -945,3 +948,16 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_no_module_imports_anothers_private_name():
+    # a private name has one owner; a private module (from . import _openblas)
+    # may still be imported whole
+    crossings = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert crossings == []

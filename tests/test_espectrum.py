@@ -30,6 +30,7 @@ from percolattice.lattice import (
     expected_spectrum,
     link_matrix,
     node_count,
+    supergraph_edges,
 )
 from percolattice.percolation import PercolationSample, adjacency, sample
 
@@ -46,7 +47,8 @@ class TestEigenvalues:
     def test_expected_matrix_cross_check(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
         flat = np.sort(np.repeat(*expected_spectrum(spec)))
-        assert np.abs(eigenvalues(expected_matrix(spec)) - flat).max() < 1e-10
+        b = expected_matrix(spec, supergraph_edges(spec))
+        assert np.abs(eigenvalues(b) - flat).max() < 1e-10
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -109,12 +111,15 @@ class TestEigenvalues:
             eigenvalues(np.zeros((4001, 4001)))
 
 
+_NO_LINKS = np.empty((0, 3), dtype=np.int32)
+
+
 @pytest.mark.parametrize("gate, what", [
-    (lambda spec: link_matrix(spec, [1.0]), "dense adjacency"),
-    (lambda spec: adjacency(PercolationSample(spec, np.empty((0, 3), dtype=np.int32))),
-     "dense adjacency"),
+    (lambda spec: link_matrix(spec, _NO_LINKS, [1.0]), "dense adjacency"),
+    (lambda spec: expected_matrix(spec, _NO_LINKS), "dense adjacency"),
+    (lambda spec: adjacency(PercolationSample(spec, _NO_LINKS)), "dense adjacency"),
     (lambda spec: eigenvalues(np.broadcast_to(0.0, (4001, 4001))), "dense eigensolve"),
-], ids=["link_matrix", "adjacency", "eigenvalues"])
+], ids=["link_matrix", "expected_matrix", "adjacency", "eigenvalues"])
 def test_every_dense_gate_refuses_one_past_the_cap(gate, what):
     # one cap for every dense N x N matrix, checked before N^2 is allocated
     spec = LatticeSpec((4001,), (0.5,))

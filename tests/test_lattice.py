@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolattice import lattice
 from percolattice.lattice import (
     BRANCH_LIMIT,
     LatticeSpec,
@@ -19,7 +18,6 @@ from percolattice.lattice import (
     expected_degree,
     expected_matrix,
     expected_spectrum,
-    lattice_adjacency,
     link_matrix,
     node_count,
     supergraph_edges,
@@ -49,6 +47,11 @@ def _reference_supergraph_edges(spec):
     dd = np.concatenate(rows_d)
     order = np.lexsort((j, i))
     return np.column_stack([i[order], j[order], dd[order]])
+
+
+def _supergraph_adjacency(spec):
+    """Full 0/1 supergraph adjacency."""
+    return link_matrix(spec, supergraph_edges(spec), [1.0] * spec.ndim)
 
 
 def _kron_dimension_adjacency(spec, d):
@@ -237,34 +240,34 @@ class TestAdjacency:
 
     def test_self_not_adjacent(self):
         assert not _adjacent(self.spec, 1, 1)
-        assert lattice_adjacency(self.spec)[0, 0] == 0
+        assert _supergraph_adjacency(self.spec)[0, 0] == 0
 
     def test_one_digit_difference(self):
         assert _adjacent(self.spec, 1, 2)
-        assert lattice_adjacency(self.spec)[0, 1] == 1
+        assert _supergraph_adjacency(self.spec)[0, 1] == 1
 
     def test_two_digit_difference(self):
         # beta(1) = (0,0), beta(5) = (1,1)
         assert not _adjacent(self.spec, 1, 5)
-        assert lattice_adjacency(self.spec)[0, 4] == 0
+        assert _supergraph_adjacency(self.spec)[0, 4] == 0
 
     def test_k2(self):
-        a = lattice_adjacency(LatticeSpec((2,), (1.0,)))
+        a = _supergraph_adjacency(LatticeSpec((2,), (1.0,)))
         assert np.array_equal(a, [[0, 1], [1, 0]])
 
     def test_four_cycle(self):
-        a = lattice_adjacency(LatticeSpec((2, 2), (1.0, 1.0)))
+        a = _supergraph_adjacency(LatticeSpec((2, 2), (1.0, 1.0)))
         assert np.array_equal(a.sum(axis=1), [2, 2, 2, 2])
         assert np.array_equal(a, a.T)
         assert np.array_equal(np.diag(a), np.zeros(4))
 
     def test_row_sums(self):
-        a = lattice_adjacency(self.spec)
+        a = _supergraph_adjacency(self.spec)
         assert np.array_equal(a.sum(axis=1), np.full(12, 5.0))
 
     def test_kronecker_matches_hamming(self):
         for spec in (self.spec, LatticeSpec((2, 3, 3), (0.5, 0.5, 0.5))):
-            a = lattice_adjacency(spec)
+            a = _supergraph_adjacency(spec)
             n = node_count(spec)
             brute = np.array(
                 [[_adjacent(spec, i, j) for j in range(1, n + 1)]
@@ -272,17 +275,6 @@ class TestAdjacency:
                 dtype=float,
             )
             assert np.array_equal(a, brute)
-
-    def test_dense_size_limit(self, monkeypatch):
-        def no_edges(spec):
-            pytest.fail("edges enumerated before the size check")
-
-        monkeypatch.setattr(lattice, "supergraph_edges", no_edges)
-        spec = LatticeSpec((200, 200), (0.5, 0.5))
-        with pytest.raises(SizeLimitError, match="dense adjacency refused for N=40000"):
-            link_matrix(spec, [1.0, 1.0])
-        with pytest.raises(SizeLimitError):
-            lattice_adjacency(spec)
 
     def test_supergraph_edges_canonical(self):
         for spec, degree in ((self.spec, 5), (LatticeSpec((2, 3, 4), (0.5,) * 3), 6)):
@@ -338,8 +330,9 @@ class TestLinkMatrix:
     def _assert_bytes_match_reference(spec):
         want = _kron_reference_matrices(spec)
         gamma = expected_degree(spec)
-        v = link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
-        got = (lattice_adjacency(spec), expected_matrix(spec), v)
+        edges = supergraph_edges(spec)
+        v = link_matrix(spec, edges, [p * (1 - p) / gamma**2 for p in spec.probs])
+        got = (link_matrix(spec, edges, [1.0] * spec.ndim), expected_matrix(spec, edges), v)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
@@ -404,7 +397,7 @@ class TestExpectedSpectrum:
     def test_matches_dense_eigensolve(self, dims, probs):
         spec = LatticeSpec(dims, probs)
         flat = np.sort(np.repeat(*expected_spectrum(spec)))
-        dense = np.sort(np.linalg.eigvalsh(expected_matrix(spec)))
+        dense = np.sort(np.linalg.eigvalsh(expected_matrix(spec, supergraph_edges(spec))))
         assert np.abs(flat - dense).max() < 1e-10
 
 

@@ -6,9 +6,8 @@ import pytest
 from percolattice.canonical import build_problem
 from percolattice.espectrum import row_normalized_eigenvalues, trial_seed
 from percolattice.lattice import (
-    _ROW_CHUNK,
+    ROW_CHUNK,
     LatticeSpec,
-    _write_links,
     expected_degree,
     expected_matrix,
     link_matrix,
@@ -88,7 +87,7 @@ class TestSampling:
 
 
 class TestChunkedDrawAndAssembly:
-    """sample and _write_links work in chunks of _ROW_CHUNK listing rows, with
+    """sample and link_matrix work in chunks of ROW_CHUNK listing rows, with
     the bits of the one-shot draw and scatter kept here as references."""
 
 
@@ -113,7 +112,7 @@ class TestChunkedDrawAndAssembly:
     ], ids=["70", "16384", "58500"])
     def test_bits_match_the_one_shot_references(self, spec, chunks):
         edges = supergraph_edges(spec)
-        assert divmod(len(edges), _ROW_CHUNK) == chunks
+        assert divmod(len(edges), ROW_CHUNK) == chunks
         for seed in (0, trial_seed(42, 1)):
             s = sample(spec, seed, edges)
             want = self._one_shot_draw(spec, seed, edges)
@@ -122,7 +121,7 @@ class TestChunkedDrawAndAssembly:
             assert adjacency(s).tobytes() == ref.tobytes()
         # every listing row written, so the chunks end where the listing does
         per_dim = [p / expected_degree(spec) for p in spec.probs]
-        assert (_write_links(spec, edges, per_dim).tobytes()
+        assert (link_matrix(spec, edges, per_dim).tobytes()
                 == self._one_shot_scatter(spec, edges, per_dim).tobytes())
 
     def test_draw_and_assembly_hold_no_per_link_temporaries(self):
@@ -208,14 +207,15 @@ class TestMatrices:
 
     def test_mean_scaled_adjacency_converges_to_expectation(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))
-        b = expected_matrix(spec)
+        edges = supergraph_edges(spec)
+        b = expected_matrix(spec, edges)
         acc = np.zeros_like(b)
         trials = 500
         for s in trial_draws(spec, 2024, trials):
             acc += scaled_adjacency(s)
         acc /= trials
         gamma = expected_degree(spec)
-        v = link_matrix(spec, [p * (1 - p) / gamma**2 for p in spec.probs])
+        v = link_matrix(spec, edges, [p * (1 - p) / gamma**2 for p in spec.probs])
         se = np.sqrt(v / trials)
         link = se > 0
         assert np.all(np.abs(acc - b)[link] <= 3 * se[link])

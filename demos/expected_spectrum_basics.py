@@ -14,8 +14,8 @@ from percolattice import (
     expected_matrix,
     expected_spectrum,
     node_count,
+    supergraph_edges,
 )
-from percolattice.lattice import supergraph_edges
 
 spec = LatticeSpec(dims=(4, 5), probs=(0.7, 0.5))
 n = node_count(spec)

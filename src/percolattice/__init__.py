@@ -29,6 +29,7 @@ from .lattice import (
     expected_matrix,
     expected_spectrum,
     node_count,
+    supergraph_edges,
 )
 from .metrics import DistanceReport, compare
 from .percolation import (

@@ -302,7 +302,7 @@ def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
         raise ValueError("matrix_k1_oracle takes a scalar or 1-D array of finite z "
                          "with Im z != 0")
     sig2 = variance_sum(spec)
-    shifts = zs + sig2 * np.broadcast_to(alpha, zs.shape)
+    alphas = np.broadcast_to(alpha, zs.shape)
     edges = supergraph_edges(spec)
     gamma = expected_degree(spec)
     var = (np.array([p * (1 - p) for p in spec.probs]) / gamma**2)[edges[:, 2]]  # per link
@@ -317,7 +317,9 @@ def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
         raise OracleError(f"expected matrix B leaves the Kronecker solution form: "
                           f"relative residual {residual:.3e} > {_FORM_TOL:.1e}")
     lam = eigenvalues(b)  # B is exactly symmetric and read no more: solved in place
-    traces = np.array([np.mean(1.0 / (lam - w)) for w in shifts.ravel()])
+    with np.errstate(invalid="ignore"):  # a non-finite alpha gives nan, not a warning
+        shifts = zs + sig2 * alphas
+        traces = np.array([np.mean(1.0 / (lam - w)) for w in shifts.ravel()])
     return complex(traces[0]) if zs.ndim == 0 else traces
 
 

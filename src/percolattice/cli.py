@@ -7,10 +7,9 @@ Emits plot-ready CSV curves (no plotting here).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .espectrum import check_trials, monte_carlo_spectrum, smoothed_density
 from .espectrum import theorem3_spectra
 from .inversion import auto_grid, cdf_from_density, check_epsilon, check_grid
 from .inversion import default_epsilon, density_curve, span_grid
-from .lattice import EIGENSOLVE_LIMIT, LatticeSpec, SizeLimitError, check_size
-from .lattice import is_integral, node_count
+from .lattice import EIGENSOLVE_LIMIT, LatticeSpec, SizeLimitError, check_size, node_count
 from .metrics import compare as compare_curves
 from .percolation import girko_conditions
 
@@ -38,13 +36,6 @@ EXIT_SOLVER = 3
 EXIT_ORACLE = 4
 
 
-def _is_number(value) -> bool:
-    """A float, or an int that a float can hold; not a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, float)
-
-
 def _split(name: str, text: str, convert) -> tuple:
     try:
         return tuple(convert(v) for v in text.split(","))
@@ -52,38 +43,12 @@ def _split(name: str, text: str, convert) -> tuple:
         raise ValueError(f"bad {name} {text!r}: {exc}") from exc
 
 
-# The parsers check types only; a range is checked where the setting is
-# used, so a command does not reject a setting it ignores.
-def _checked(wording: str, accepts, convert):
-    """A parser of one value that `accepts` takes; it names the setting otherwise."""
-    def parse(name: str, value):
-        if not accepts(value):
-            raise ValueError(f"{name} must be {wording}, got {value!r}")
-        return convert(value)
-    return parse
-
-
-def _listed(wording: str, accepts, convert):
-    """A parser of a comma-separated string, or of a JSON list of values `accepts` takes."""
-    def parse(name: str, value) -> tuple:
-        if isinstance(value, str):
-            return _split(name, value, convert)
-        if isinstance(value, list) and all(accepts(v) for v in value):
-            return tuple(convert(v) for v in value)
-        raise ValueError(f"{name} must be {wording}, got {value!r}")
-    return parse
-
-
-def _parse_epsilon(name: str, value):
-    """'auto' (or null) or a width."""
-    if value is None or value == "auto":
-        return None
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
+def _parse_epsilon(text: str) -> float | None:
+    """'auto' or a width."""
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad {name} {value!r}") from exc
+        return None if text == "auto" else float(text)
+    except ValueError as exc:
+        raise ValueError(f"bad epsilon {text!r}") from exc
 
 
 def _parse_z_list(text: str) -> tuple[complex, ...]:
@@ -97,31 +62,30 @@ def _parse_z_list(text: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
-_integer = _checked("an integer", is_integral, int)
-
-
-def _parsed(default=MISSING, *, parse):
-    return field(default=default, metadata={"parse": parse})
+# The parsers of the string flags. They check types only; a range is checked
+# where the setting is used, so a command does not reject a setting it ignores.
+_PARSE = {
+    "dims": lambda text: _split("dims", text, int),
+    "probs": lambda text: _split("probs", text, float),
+    "epsilon": _parse_epsilon,
+    "z": _parse_z_list,
+}
 
 
 @dataclass
 class RunConfig:
-    """One run's settings; each field's parser checks a flag or a JSON value."""
+    """One run's settings, filled from the flags."""
 
-    dims: tuple[int, ...] = _parsed(parse=_listed("a list of integers", is_integral, int))
-    probs: tuple[float, ...] = _parsed(parse=_listed("a list of numbers", _is_number, float))
-    trials: int = _parsed(50, parse=_integer)
-    seed: int = _parsed(0, parse=_integer)
-    grid_points: int = _parsed(2000, parse=_integer)
-    margin: float = _parsed(0.1, parse=_checked("a finite number >= 0", _is_number, float))
-    epsilon: float | None = _parsed(None, parse=_parse_epsilon)  # None: 2x grid spacing
-    normalized: bool = _parsed(
-        False, parse=_checked("true or false", lambda v: isinstance(v, bool), bool))
-    output_path: str = _parsed(
-        "curves.csv", parse=_checked("a string", lambda v: isinstance(v, str), str))
-    z: tuple[complex, ...] | None = _parsed(None, parse=_checked(  # None: oracle_z_grid()
-        "a string of comma-separated complex values", lambda v: isinstance(v, str),
-        _parse_z_list))
+    dims: tuple[int, ...]
+    probs: tuple[float, ...]
+    trials: int = 50
+    seed: int = 0
+    grid_points: int = 2000
+    margin: float = 0.1
+    epsilon: float | None = None  # None: 2x grid spacing
+    normalized: bool = False
+    output_path: str = "curves.csv"
+    z: tuple[complex, ...] | None = None  # None: oracle_z_grid()
 
     def spec(self) -> LatticeSpec:
         return LatticeSpec(dims=self.dims, probs=self.probs)
@@ -136,27 +100,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ValueError(f"config {args.config} must hold a JSON object, "
-                             f"got {type(values).__name__}")
-        unknown = set(values) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name)
-        if flag is not None:
-            values[f.name] = flag
-        if f.name in values:
-            values[f.name] = f.metadata["parse"](f.name, values[f.name])
+    """The run's settings; a flag that is not given keeps its default."""
+    # parsed in field order, so the first bad flag is the one named
+    given = {f.name: v for f in fields(RunConfig) if (v := getattr(args, f.name)) is not None}
+    values = {name: _PARSE[name](v) if name in _PARSE else v for name, v in given.items()}
     if "dims" not in values or "probs" not in values:
-        raise ValueError("dims and probs are required (flags or config file)")
+        raise ValueError("dims and probs are required (--dims, --probs)")
     cfg = RunConfig(**values)
     cfg.spec()
     return cfg
@@ -326,7 +275,6 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
-    parser.add_argument("--config", help="JSON file with RunConfig keys; flags override")
     parser.add_argument("--dims", help="comma-separated lattice sizes, e.g. 30,50")
     parser.add_argument("--probs", help="comma-separated link probabilities, e.g. 0.7,0.5")
     parser.add_argument("--trials", type=int)

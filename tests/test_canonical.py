@@ -604,11 +604,13 @@ class TestMatrixOracle:
                 matrix_k1_oracle(LatticeSpec((3, 3), (0.5, 0.5)), z, 1j)
 
     def test_measures_a_non_finite_alpha(self):
-        # alpha is the value under test: a NaN is reported, not refused
-        with np.errstate(invalid="ignore"):
-            got = matrix_k1_oracle(LatticeSpec((3, 3), (0.5, 0.5)), 0.2 + 0.5j,
-                                   complex(np.nan, np.nan))
-        assert np.isnan(got)
+        # alpha is the value under test: a non-finite one is reported as nan, not
+        # refused; each used to raise a RuntimeWarning, an error under pytest
+        spec = LatticeSpec((3, 3), (0.5, 0.5))
+        for alpha in [complex(np.nan, np.nan), complex(np.nan, 1), complex(np.inf, 0),
+                      complex(1, np.inf)]:
+            got = matrix_k1_oracle(spec, 0.2 + 0.5j, alpha)
+            assert np.isnan(got.real) and np.isnan(got.imag), alpha
 
     def test_variance_matrix_row_sums(self):
         spec = LatticeSpec((4, 5), (0.7, 0.5))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def _split(name: str, text: str, convert) -> tuple:
     try:
         return tuple(convert(v) for v in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad {name} {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad {name} {text!r}: {exc}") from exc
 
 
 def _parse_epsilon(text: str) -> float | None:
@@ -48,7 +48,7 @@ def _parse_epsilon(text: str) -> float | None:
     try:
         return None if text == "auto" else float(text)
     except ValueError as exc:
-        raise ValueError(f"bad epsilon {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad epsilon {text!r}") from exc
 
 
 def _parse_z_list(text: str) -> tuple[complex, ...]:
@@ -58,37 +58,8 @@ def _parse_z_list(text: str) -> tuple[complex, ...]:
         try:
             out.append(complex(typed.replace("i", "j")))
         except ValueError as exc:
-            raise ValueError(f"bad complex value {typed!r}") from exc
+            raise argparse.ArgumentTypeError(f"bad complex value {typed!r}") from exc
     return tuple(out)
-
-
-# The parsers of the string flags. They check types only; a range is checked
-# where the setting is used, so a command does not reject a setting it ignores.
-_PARSE = {
-    "dims": lambda text: _split("dims", text, int),
-    "probs": lambda text: _split("probs", text, float),
-    "epsilon": _parse_epsilon,
-    "z": _parse_z_list,
-}
-
-
-@dataclass
-class RunConfig:
-    """One run's settings, filled from the flags."""
-
-    dims: tuple[int, ...]
-    probs: tuple[float, ...]
-    trials: int = 50
-    seed: int = 0
-    grid_points: int = 2000
-    margin: float = 0.1
-    epsilon: float | None = None  # None: 2x grid spacing
-    normalized: bool = False
-    output_path: str = "curves.csv"
-    z: tuple[complex, ...] | None = None  # None: oracle_z_grid()
-
-    def spec(self) -> LatticeSpec:
-        return LatticeSpec(dims=self.dims, probs=self.probs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,18 +68,6 @@ class _Parser(argparse.ArgumentParser):
             flag = message.split()[1].rstrip(":")
             message += f" (write a value that starts with '-' as {flag}=VALUE)"
         raise ValueError(message)
-
-
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    """The run's settings; a flag that is not given keeps its default."""
-    # parsed in field order, so the first bad flag is the one named
-    given = {f.name: v for f in fields(RunConfig) if (v := getattr(args, f.name)) is not None}
-    values = {name: _PARSE[name](v) if name in _PARSE else v for name, v in given.items()}
-    if "dims" not in values or "probs" not in values:
-        raise ValueError("dims and probs are required (--dims, --probs)")
-    cfg = RunConfig(**values)
-    cfg.spec()
-    return cfg
 
 
 def _cannot_write(path: str, exc: OSError) -> ValueError:
@@ -143,23 +102,23 @@ def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
         raise _cannot_write(path, exc) from exc
 
 
-def _epsilon(cfg: RunConfig, grid) -> float:
+def _epsilon(args: argparse.Namespace, grid) -> float:
     """The run's one smoothing width, --epsilon or twice the grid spacing, checked."""
-    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(grid)
+    eps = args.epsilon if args.epsilon is not None else default_epsilon(grid)
     check_epsilon(eps)
     return eps
 
 
-def _prepare(cfg: RunConfig):
+def _prepare(spec: LatticeSpec, args: argparse.Namespace):
     """The problem, its auto grid and the run's epsilon, with --output checked.
 
     The one pre-work of solve, simulate and plain compare: it refuses their
     grid, epsilon and output settings before any solve or draw.
     """
-    problem = build_problem(cfg.spec())
-    grid = auto_grid(problem, points=cfg.grid_points, margin=cfg.margin)
-    eps = _epsilon(cfg, grid)
-    _check_output(cfg.output_path)
+    problem = build_problem(spec)
+    grid = auto_grid(problem, points=args.grid_points, margin=args.margin)
+    eps = _epsilon(args, grid)
+    _check_output(args.output_path)
     return problem, grid, eps
 
 
@@ -178,52 +137,52 @@ def _deterministic_curves(problem, grid, eps):
     return _cdf("deterministic", dens)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    problem, grid, eps = _prepare(cfg)
+def cmd_solve(spec: LatticeSpec, args: argparse.Namespace) -> int:
+    problem, grid, eps = _prepare(spec, args)
     curve = _deterministic_curves(problem, grid, eps)
-    _write_csv(cfg.output_path, {"x": grid, "f_det": curve.density, "F_det": curve.cdf})
-    print(f"wrote deterministic curves to {cfg.output_path} (epsilon={eps:.6g})")
+    _write_csv(args.output_path, {"x": grid, "f_det": curve.density, "F_det": curve.cdf})
+    print(f"wrote deterministic curves to {args.output_path} (epsilon={eps:.6g})")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.normalized:
+def cmd_simulate(spec: LatticeSpec, args: argparse.Namespace) -> int:
+    if args.normalized:
         raise ValueError("normalized is a compare mode: its grid spans the "
                          "scaled-adjacency reference; use compare --normalized")
-    problem, grid, eps = _prepare(cfg)
-    pooled = monte_carlo_spectrum(problem.spec, cfg.seed, cfg.trials)
+    problem, grid, eps = _prepare(spec, args)
+    pooled = monte_carlo_spectrum(problem.spec, args.seed, args.trials)
     curve = _cdf("empirical", smoothed_density(pooled, grid, eps))
-    _write_csv(cfg.output_path, {"x": grid, "f_emp": curve.density, "F_emp": curve.cdf})
+    _write_csv(args.output_path, {"x": grid, "f_emp": curve.density, "F_emp": curve.cdf})
     print(
-        f"wrote empirical curves ({cfg.trials} trials, seed {cfg.seed}) "
-        f"to {cfg.output_path} (epsilon={eps:.6g})"
+        f"wrote empirical curves ({args.trials} trials, seed {args.seed}) "
+        f"to {args.output_path} (epsilon={eps:.6g})"
     )
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    if cfg.normalized:
+def cmd_compare(spec: LatticeSpec, args: argparse.Namespace) -> int:
+    if args.normalized:
         # Theorem-3 mode, both curves empirical, on a grid spanning both
         # spectra; the scaled-adjacency reference takes the det columns so
         # the CSV schema stays fixed
-        check_grid(cfg.grid_points, cfg.margin)  # before sampling
-        if cfg.epsilon is not None:
-            check_epsilon(cfg.epsilon)
-        _check_output(cfg.output_path)
-        ref, pooled = theorem3_spectra(cfg.spec(), cfg.seed, cfg.trials)
+        check_grid(args.grid_points, args.margin)  # before sampling
+        if args.epsilon is not None:
+            check_epsilon(args.epsilon)
+        _check_output(args.output_path)
+        ref, pooled = theorem3_spectra(spec, args.seed, args.trials)
         lo = min(ref.eigenvalues[0], pooled.eigenvalues[0])
         hi = max(ref.eigenvalues[-1], pooled.eigenvalues[-1])
-        grid = span_grid(lo, hi, cfg.grid_points, cfg.margin)
-        eps = _epsilon(cfg, grid)
+        grid = span_grid(lo, hi, args.grid_points, args.margin)
+        eps = _epsilon(args, grid)
         det = _cdf("reference (scaled adjacency)", smoothed_density(ref, grid, eps))
     else:
-        problem, grid, eps = _prepare(cfg)
-        check_trials(problem.spec, cfg.seed, cfg.trials)  # before the deterministic solve
+        problem, grid, eps = _prepare(spec, args)
+        check_trials(problem.spec, args.seed, args.trials)  # before the deterministic solve
         det = _deterministic_curves(problem, grid, eps)
-        pooled = monte_carlo_spectrum(problem.spec, cfg.seed, cfg.trials)
+        pooled = monte_carlo_spectrum(problem.spec, args.seed, args.trials)
     emp = _cdf("empirical", smoothed_density(pooled, grid, eps))
     report = compare_curves(det, emp)
-    _write_csv(cfg.output_path, {
+    _write_csv(args.output_path, {
         "x": grid, "f_det": det.density, "F_det": det.cdf,
         "f_emp": emp.density, "F_emp": emp.cdf,
     })
@@ -234,10 +193,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    spec = cfg.spec()
+def cmd_oracle(spec: LatticeSpec, args: argparse.Namespace) -> int:
     check_size("oracle", node_count(spec), EIGENSOLVE_LIMIT)  # before the 2^D branches
-    zs = np.array(cfg.z if cfg.z is not None else oracle_z_grid())
+    zs = np.array(args.z if args.z is not None else oracle_z_grid())
     alphas = solve_alpha(build_problem(spec), zs).alpha_principal
     diffs = np.abs(alphas - matrix_k1_oracle(spec, zs, alphas))
     for z, diff in zip(zs, diffs):
@@ -249,8 +207,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_conditions(cfg: RunConfig) -> int:
-    report = girko_conditions(cfg.spec())
+def cmd_conditions(spec: LatticeSpec, args: argparse.Namespace) -> int:
+    report = girko_conditions(spec)
     for f in fields(report):
         print(f"{f.name}={getattr(report, f.name):.17g}")
     return EXIT_OK
@@ -275,16 +233,25 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
-    parser.add_argument("--dims", help="comma-separated lattice sizes, e.g. 30,50")
-    parser.add_argument("--probs", help="comma-separated link probabilities, e.g. 0.7,0.5")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--margin", type=float)
-    parser.add_argument("--epsilon", help="smoothing width or 'auto' (2x grid spacing)")
-    parser.add_argument("--normalized", action="store_true", default=None)
-    parser.add_argument("--output", dest="output_path")
-    parser.add_argument("--z", help="oracle's comma-separated complex points, e.g. "
+    # the type of each flag is checked at parse time, on every occurrence; a
+    # range is checked where the setting is used, so a command does not
+    # reject a setting it ignores
+    parser.add_argument("--dims", required=True,
+                        type=lambda text: _split("dims", text, int),
+                        help="comma-separated lattice sizes, e.g. 30,50")
+    parser.add_argument("--probs", required=True,
+                        type=lambda text: _split("probs", text, float),
+                        help="comma-separated link probabilities, e.g. 0.7,0.5")
+    parser.add_argument("--trials", type=int, default=50)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--grid-points", type=int, default=2000)
+    parser.add_argument("--margin", type=float, default=0.1)
+    parser.add_argument("--epsilon", type=_parse_epsilon,
+                        help="smoothing width or 'auto' (2x grid spacing)")
+    parser.add_argument("--normalized", action="store_true")
+    parser.add_argument("--output", dest="output_path", default="curves.csv")
+    parser.add_argument("--z", type=_parse_z_list,
+                        help="oracle's comma-separated complex points, e.g. "
                         "0.2+0.7i (default: its 25-point grid)")
     return parser
 
@@ -292,9 +259,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _load_config(args)
+        spec = LatticeSpec(dims=args.dims, probs=args.probs)
         # looked up when called, so a rebound cmd_* global is the one that runs
-        return globals()[f"cmd_{args.command}"](cfg)
+        return globals()[f"cmd_{args.command}"](spec, args)
     # SizeLimitError and LinAlgError are ValueErrors, so they are caught
     # before ValueError
     except SizeLimitError as exc:

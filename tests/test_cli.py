@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from percolattice import _openblas, canonical, cli, espectrum, lattice, percolation
 from percolattice.canonical import OracleError, SolverError
@@ -34,6 +36,11 @@ def read_csv(path):
 class TestConfigHandling:
     def test_missing_dims_is_config_error(self, capsys):
         assert main(["solve", "--probs", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: the following arguments are required: --dims\n")
+        assert main(["solve"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: the following arguments are required: --dims, --probs\n")
 
     def test_bad_probability_is_config_error(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -357,19 +364,19 @@ class TestUnusedSettings:
         # plain compare used to check its Monte Carlo settings only after
         # its deterministic solve
         ("compare", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-        # a value of the wrong type is refused whether or not the command uses it;
-        # the second --dims overrides the first
+        # a value of the wrong type is refused whether or not the command uses it,
+        # and even where a later --dims would override it
         ("solve", ["--trials", "x"], "argument --trials: invalid int value: 'x'"),
         ("solve", ["--dims", "3,x"],
-         "bad dims '3,x': invalid literal for int() with base 10: 'x'"),
-        ("solve", ["--epsilon", "abc"], "bad epsilon 'abc'"),
-        ("solve", ["--z", "abc"], "bad complex value 'abc'"),
+         "argument --dims: bad dims '3,x': invalid literal for int() with base 10: 'x'"),
+        ("solve", ["--epsilon", "abc"], "argument --epsilon: bad epsilon 'abc'"),
+        ("solve", ["--z", "abc"], "argument --z: bad complex value 'abc'"),
         ("simulate", ["--trials", "2.5"], "argument --trials: invalid int value: '2.5'"),
         ("solve", ["--grid-points", "100.5"],
          "argument --grid-points: invalid int value: '100.5'"),
         ("solve", ["--margin", "wide"], "argument --margin: invalid float value: 'wide'"),
         ("solve", ["--probs", "true,0.5"],
-         "bad probs 'true,0.5': could not convert string to float: 'true'"),
+         "argument --probs: bad probs 'true,0.5': could not convert string to float: 'true'"),
     ])
     def test_used_setting_is_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):
@@ -383,6 +390,22 @@ class TestUnusedSettings:
                      "--output", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, bad, good", [("--dims", "3,x", "3,4"),
+                                                 ("--probs", "x", "0.5"),
+                                                 ("--epsilon", "abc", "0.1"),
+                                                 ("--z", "abc", "0.2+0.5i")])
+    def test_a_bad_value_is_refused_before_a_good_one(self, tmp_path, capsys, flag, bad,
+                                                      good):
+        # each occurrence of a flag is checked: `--dims 3,x --dims 3,4` used
+        # to run on 3,4 and exit 0
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--dims", "3,4", "--probs", "0.7,0.5", flag, bad, flag, good,
+                     "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: argument {flag}: bad ")
         assert captured.out == ""
         assert not out.exists()
 
@@ -744,6 +767,52 @@ class TestConditions:
         out = capsys.readouterr().out
         values = dict(ln.split("=") for ln in out.strip().splitlines())
         assert float(values["max_entry_bound"]) == pytest.approx(1 / 24.9)
+
+
+_JUNK = ["", "x", "nan", "inf", "-1", "1e400", "2.5", "true", "1,"]
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _argvs(draw):
+    """One command with any subset of the flags, each valid and small or junk.
+
+    --dims and --probs are given more often than the other flags, and a
+    given value is more often valid than junk, so about a quarter of the
+    runs pass every check and do their work.
+    """
+    d = draw(st.integers(1, 3))
+    valid = {
+        "--dims": st.lists(st.integers(2, 6), min_size=d, max_size=d).map(_joined),
+        "--probs": st.lists(st.sampled_from([1e-9, 0.1, 0.5, 0.7, 1]), min_size=d,
+                            max_size=d).map(_joined),
+        "--trials": st.integers(1, 3).map(str),
+        "--seed": st.integers(0, 5).map(str),
+        "--grid-points": st.integers(16, 80).map(str),
+        "--margin": st.sampled_from(["0", "0.1", "1"]),
+        "--epsilon": st.sampled_from(["auto", "0.01", "0.1", "1"]),
+        "--z": st.sampled_from(["0.2+0.5i", "-0.3+1i,1+0.1i"]),
+    }
+    argv = [draw(st.sampled_from(list(cli._COMMANDS)))]
+    for flag, values in valid.items():
+        if draw(st.integers(0, 3)) <= (2 if flag in ("--dims", "--probs") else 1):
+            junk = draw(st.integers(0, 7)) == 7
+            argv.append(f"{flag}={draw(st.sampled_from(_JUNK) if junk else values)}")
+    if draw(st.booleans()):
+        argv.append("--normalized")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_every_argv_exits_with_a_documented_code(tmp_path, argv):
+    # any mix of valid and malformed flag values ends in exit 0-4: no
+    # traceback, and no warning (an error under this suite)
+    assert main([*argv, f"--output={tmp_path / 'o.csv'}"]) in range(5)
 
 
 def _simulate_at_threads(tmp_path, *args) -> list[bytes]:

@@ -19,18 +19,20 @@ grid = auto_grid(problem, points=2000, margin=0.1)
 eps = default_epsilon(grid)
 print(f"grid [{grid[0]:.3f}, {grid[-1]:.3f}], epsilon = {eps:.4g}")
 
+# every curve is an array on this one grid
 # deterministic curve: the scalar canonical equation, solved on the whole grid
-det = cdf_from_density(density_curve(lambda z: solve_alpha(problem, z).alpha_principal,
-                                     grid, eps))
+f_det = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps)
+F_det = cdf_from_density(grid, f_det)
 
 # empirical curve: pooled spectrum of 50 percolations
 pooled = monte_carlo_spectrum(spec, seed=42, trials=50)
-emp = cdf_from_density(smoothed_density(pooled, grid, eps))
+f_emp = smoothed_density(pooled, grid, eps)
+F_emp = cdf_from_density(grid, f_emp)
 
-report = compare(det, emp)
+report = compare(grid, F_det, F_emp)
 print(f"kolmogorov = {report.kolmogorov:.4f}, levy = {report.levy:.4f}")
 
-rows = np.column_stack([grid, det.density, det.cdf, emp.density, emp.cdf])
+rows = np.column_stack([grid, f_det, F_det, f_emp, F_emp])
 np.savetxt("figure1a.csv", rows, delimiter=",",
            header="x,f_det,F_det,f_emp,F_emp", comments="")
 print("wrote figure1a.csv")

@@ -19,7 +19,7 @@ from .espectrum import (
     pool,
     smoothed_density,
 )
-from .inversion import SpectralCurve, auto_grid, density_curve
+from .inversion import auto_grid, density_curve
 from .lattice import (
     LatticeSpec,
     SizeLimitError,

@@ -122,25 +122,25 @@ def _prepare(spec: LatticeSpec, args: argparse.Namespace):
     return problem, grid, eps
 
 
-def _cdf(label: str, density):
-    """cdf_from_density, naming the failing curve in a too-little-mass error."""
+def _curves(label: str, grid, density):
+    """The density and its CDF, naming the failing curve in a too-little-mass error."""
     # every CDF is integrated from a density smoothed with the run's one eps,
     # so the two sides are compared like for like
     try:
-        return cdf_from_density(density)
+        return density, cdf_from_density(grid, density)
     except ValueError as exc:
         raise ValueError(f"{label} curve: {exc}") from exc
 
 
 def _deterministic_curves(problem, grid, eps):
     dens = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps)
-    return _cdf("deterministic", dens)
+    return _curves("deterministic", grid, dens)
 
 
 def cmd_solve(spec: LatticeSpec, args: argparse.Namespace) -> int:
     problem, grid, eps = _prepare(spec, args)
-    curve = _deterministic_curves(problem, grid, eps)
-    _write_csv(args.output_path, {"x": grid, "f_det": curve.density, "F_det": curve.cdf})
+    f_det, F_det = _deterministic_curves(problem, grid, eps)
+    _write_csv(args.output_path, {"x": grid, "f_det": f_det, "F_det": F_det})
     print(f"wrote deterministic curves to {args.output_path} (epsilon={eps:.6g})")
     return EXIT_OK
 
@@ -151,8 +151,8 @@ def cmd_simulate(spec: LatticeSpec, args: argparse.Namespace) -> int:
                          "scaled-adjacency reference; use compare --normalized")
     problem, grid, eps = _prepare(spec, args)
     pooled = monte_carlo_spectrum(problem.spec, args.seed, args.trials)
-    curve = _cdf("empirical", smoothed_density(pooled, grid, eps))
-    _write_csv(args.output_path, {"x": grid, "f_emp": curve.density, "F_emp": curve.cdf})
+    f_emp, F_emp = _curves("empirical", grid, smoothed_density(pooled, grid, eps))
+    _write_csv(args.output_path, {"x": grid, "f_emp": f_emp, "F_emp": F_emp})
     print(
         f"wrote empirical curves ({args.trials} trials, seed {args.seed}) "
         f"to {args.output_path} (epsilon={eps:.6g})"
@@ -174,22 +174,19 @@ def cmd_compare(spec: LatticeSpec, args: argparse.Namespace) -> int:
         hi = max(ref.eigenvalues[-1], pooled.eigenvalues[-1])
         grid = span_grid(lo, hi, args.grid_points, args.margin)
         eps = _epsilon(args, grid)
-        det = _cdf("reference (scaled adjacency)", smoothed_density(ref, grid, eps))
+        f_det, F_det = _curves("reference (scaled adjacency)", grid,
+                               smoothed_density(ref, grid, eps))
     else:
         problem, grid, eps = _prepare(spec, args)
         check_trials(problem.spec, args.seed, args.trials)  # before the deterministic solve
-        det = _deterministic_curves(problem, grid, eps)
+        f_det, F_det = _deterministic_curves(problem, grid, eps)
         pooled = monte_carlo_spectrum(problem.spec, args.seed, args.trials)
-    emp = _cdf("empirical", smoothed_density(pooled, grid, eps))
-    report = compare_curves(det, emp)
+    f_emp, F_emp = _curves("empirical", grid, smoothed_density(pooled, grid, eps))
+    report = compare_curves(grid, F_det, F_emp)
     _write_csv(args.output_path, {
-        "x": grid, "f_det": det.density, "F_det": det.cdf,
-        "f_emp": emp.density, "F_emp": emp.cdf,
+        "x": grid, "f_det": f_det, "F_det": F_det, "f_emp": f_emp, "F_emp": F_emp,
     })
-    print(
-        f"kolmogorov={report.kolmogorov:.6g} levy={report.levy:.6g} "
-        f"grid_points={report.grid_points}"
-    )
+    print(f"kolmogorov={report.kolmogorov:.6g} levy={report.levy:.6g} grid_points={len(grid)}")
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import percolation
-from .inversion import SpectralCurve, check_epsilon
+from .inversion import check_epsilon
 from .lattice import EIGENSOLVE_LIMIT, check_size, expected_degree, node_count
 from .percolation import adjacency
 
@@ -176,7 +176,7 @@ def smoothed_density(spectrum: EmpiricalSpectrum, grid: np.ndarray, epsilon: flo
             np.divide(scale, buf, out=buf)
             dens[r0 : r0 + len(x)] += buf.sum(axis=1)
     dens /= len(vals)
-    return SpectralCurve(grid=grid, density=dens)
+    return dens
 
 
 def trial_seed(seed: int, trial: int) -> int:

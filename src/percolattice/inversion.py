@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,34 +16,15 @@ _NEGATIVE_DENSITY_TOL = 1e-12
 MIN_RIGHT_EDGE_MASS = 0.97
 
 
-@dataclass(frozen=True)
-class SpectralCurve:
-    """CDF and/or density values on an ascending real grid."""
-
-    grid: np.ndarray
-    cdf: np.ndarray | None = None
-    density: np.ndarray | None = None
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-            raise ValueError("grid must be finite and strictly ascending")
-        if self.cdf is not None:
-            cdf = np.asarray(self.cdf, dtype=float)
-            object.__setattr__(self, "cdf", cdf)
-            if cdf.shape != grid.shape:
-                raise ValueError("cdf length must match grid")
-            in_range = np.all((cdf >= -1e-9) & (cdf <= 1 + 1e-9))  # False at NaN
-            if not in_range or np.any(np.diff(cdf) < -1e-9):
-                raise ValueError("cdf must be nondecreasing within [0, 1]")
-        if self.density is not None:
-            dens = np.asarray(self.density, dtype=float)
-            object.__setattr__(self, "density", dens)
-            if dens.shape != grid.shape:
-                raise ValueError("density length must match grid")
-            if not (np.all(np.isfinite(dens)) and dens.min() >= -_NEGATIVE_DENSITY_TOL):
-                raise ValueError("density must be finite and nonnegative")
+def on_grid(grid, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """grid and values as float arrays; ValueError unless the grid is finite and
+    strictly ascending and the `name` values have its length."""
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be finite and strictly ascending")
+    if values.shape != grid.shape:
+        raise ValueError(f"{name} length must match grid")
+    return grid, values
 
 
 def grid_spacing(grid) -> float:
@@ -72,7 +52,7 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon={epsilon:.3g} is too large: epsilon^2 overflows")
 
 
-def density_curve(stieltjes, grid, epsilon: float) -> SpectralCurve:
+def density_curve(stieltjes, grid, epsilon: float) -> np.ndarray:
     """density(x) = (1/pi) Im S(x + i*epsilon) over the grid.
 
     stieltjes is called once, on the whole array grid + i*epsilon.
@@ -84,13 +64,14 @@ def density_curve(stieltjes, grid, epsilon: float) -> SpectralCurve:
         raise ValueError(
             f"negative density {dens.min():.3e}: transform is off the Herglotz branch"
         )
-    np.clip(dens, 0.0, None, out=dens)
-    return SpectralCurve(grid=grid, density=dens)
+    return np.clip(dens, 0.0, None, out=dens)
 
 
-def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
-    """Trapezoid-integrate a density curve into a clipped CDF curve."""
-    x, y = curve.grid, curve.density
+def cdf_from_density(grid, density) -> np.ndarray:
+    """Trapezoid-integrate a density on an ascending grid into a clipped CDF."""
+    x, y = on_grid(grid, density, "density")
+    if not (np.all(np.isfinite(y)) and y.min() >= -_NEGATIVE_DENSITY_TOL):
+        raise ValueError("density must be finite and nonnegative")
     # the arithmetic of scipy.integrate.cumulative_trapezoid(y, x, initial=0)
     cdf = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
     cdf = np.clip(cdf, 0.0, 1.0)
@@ -101,7 +82,7 @@ def cdf_from_density(curve: SpectralCurve) -> SpectralCurve:
             f"CDF reaches only {cdf[-1]:.4f} at the right grid edge; widen the "
             f"grid, or choose epsilon near the grid spacing {grid_spacing(x):.3g}"
         )
-    return SpectralCurve(grid=curve.grid, cdf=cdf, density=curve.density)
+    return cdf
 
 
 def check_grid(points: int, margin: float) -> None:

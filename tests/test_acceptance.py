@@ -29,7 +29,6 @@ from percolattice.espectrum import (
     theorem3_spectra,
 )
 from percolattice.inversion import (
-    SpectralCurve,
     auto_grid,
     cdf_from_density,
     default_epsilon,
@@ -64,10 +63,10 @@ def report(number, name, passed, detail=""):
     assert passed, f"criterion {number} ({name}) failed: {detail}"
 
 
-def deterministic_cdf(problem, grid, eps):
-    return cdf_from_density(
-        density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps)
-    )
+def deterministic_curves(problem, grid, eps):
+    """The deterministic density on the grid and its CDF."""
+    dens = density_curve(lambda z: solve_alpha(problem, z).alpha_principal, grid, eps)
+    return dens, cdf_from_density(grid, dens)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -91,10 +90,9 @@ def test_criterion_2_solution_form_residual():
            f"relative residual of B = {residual:.3e}")
 
 
-def lobe_distances(problem, det, emp):
+def lobe_distances(problem, grid, f_det, F_det, F_emp):
     """Kolmogorov distance on the main density lobe and on the minor lobes."""
-    grid = det.grid
-    mask = det.density > 1e-3 * det.density.max()
+    mask = f_det > 1e-3 * f_det.max()
     bulk = problem.atoms[np.argmax(problem.weights)]
     k0 = int(np.argmin(np.abs(grid - bulk)))
     lo = k0
@@ -103,7 +101,7 @@ def lobe_distances(problem, det, emp):
     hi = k0
     while hi < len(grid) - 1 and mask[hi + 1]:
         hi += 1
-    diff = np.abs(det.cdf - emp.cdf)
+    diff = np.abs(F_det - F_emp)
     main = float(diff[lo : hi + 1].max())
     minor_mask = mask.copy()
     minor_mask[lo : hi + 1] = False
@@ -135,9 +133,9 @@ def figure_reproduction(number, name, trials):
     prob = build_problem(spec)
     grid = auto_grid(prob, 2000, 0.1)
     eps = default_epsilon(grid)
-    det = deterministic_cdf(prob, grid, eps)
-    emp = cdf_from_density(smoothed_density(pooled, grid, eps))
-    main, minor = lobe_distances(prob, det, emp)
+    f_det, F_det = deterministic_curves(prob, grid, eps)
+    F_emp = cdf_from_density(grid, smoothed_density(pooled, grid, eps))
+    main, minor = lobe_distances(prob, grid, f_det, F_det, F_emp)
     report(number, name, main <= 0.05,
            f"main-lobe KS = {main:.4f}, minor-lobe KS = {minor:.4f} (reported only)")
 
@@ -159,9 +157,7 @@ def theorem3_levy(spec, seed, trials):
     scaled, norm = theorem3_spectra(spec, seed, trials)
     grid = span_grid(min(scaled.eigenvalues[0], norm.eigenvalues[0]),
                      max(scaled.eigenvalues[-1], norm.eigenvalues[-1]), 2000, 0.1)
-    a = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(scaled, grid), float))
-    b = SpectralCurve(grid=grid, cdf=np.asarray(esd_cdf(norm, grid), float))
-    return compare(a, b).levy
+    return compare(grid, esd_cdf(scaled, grid), esd_cdf(norm, grid)).levy
 
 
 def test_criterion_5_row_normalization_trend():
@@ -178,14 +174,14 @@ def test_criterion_6_variance_zero_exactness():
         spec = LatticeSpec(dims, (1.0, 1.0))
         prob = build_problem(spec)
         grid = auto_grid(prob, 2000, 0.1)
-        det = deterministic_cdf(prob, grid, default_epsilon(grid))
+        _, det = deterministic_curves(prob, grid, default_epsilon(grid))
         atoms, mults = expected_spectrum(spec)
         cum = np.cumsum(mults) / node_count(spec)
         mids = np.concatenate([
             [atoms[0] - 0.05], (atoms[:-1] + atoms[1:]) / 2, [atoms[-1] + 0.05]
         ])
         atomic = np.concatenate([[0.0], cum])
-        got = np.interp(mids, grid, det.cdf)
+        got = np.interp(mids, grid, det)
         worst = max(worst, float(np.abs(got - atomic).max()))
     report(6, "variance-zero exactness", worst <= 0.02,
            f"worst mid-gap CDF error = {worst:.4f}")
@@ -236,15 +232,15 @@ def test_criterion_8_invariant_suites():
 
     # CDF monotonicity of the deterministic curve
     grid = auto_grid(prob, 400, 0.1)
-    det = deterministic_cdf(prob, grid, default_epsilon(grid))
-    checks.append(bool(np.all(np.diff(det.cdf) >= -1e-12)))
+    _, det = deterministic_curves(prob, grid, default_epsilon(grid))
+    checks.append(bool(np.all(np.diff(det) >= -1e-12)))
 
     # levy <= kolmogorov on random CDF pairs
     fine = np.linspace(-1, 1, 1001)
     for _ in range(5):
-        a = SpectralCurve(grid=fine, cdf=np.sort(rng.uniform(0, 1, fine.size)))
-        b = SpectralCurve(grid=fine, cdf=np.sort(rng.uniform(0, 1, fine.size)))
-        rep = compare(a, b)
+        a = np.sort(rng.uniform(0, 1, fine.size))
+        b = np.sort(rng.uniform(0, 1, fine.size))
+        rep = compare(fine, a, b)
         checks.append(rep.levy <= rep.kolmogorov + 1e-12)
 
     # encode/decode round trip

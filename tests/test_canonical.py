@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolattice import canonical
 from percolattice.canonical import (
@@ -372,6 +374,21 @@ class TestSolveAlpha:
                 prob.atoms, prob.weights, prob.variance_sum, zs, start, 1e-12)
             assert np.all(residual <= 1e-12), dims
             assert np.abs(alpha - solve_alpha(prob, zs).alpha_principal).max() < 1e-10
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(2, 199), st.one_of(
+        st.floats(0.01, 1.0),
+        st.floats(-7.0, -2.0).map(lambda e: 1.0 - 10.0**e),
+        st.floats(-4.0, -1.0).map(lambda e: 10.0**e),
+    )), min_size=1, max_size=4))
+    def test_cli_grid_converges_to_rounding(self, links):
+        # random specs on a 20,000-point CLI grid: where b_j - z - sigma^2 alpha
+        # cancels, |r| stalls above 1e-12 at up to 0.49 of g's rounding noise
+        # (56 of 300 such specs raised SolverError before that noise was accepted)
+        dims, probs = zip(*links)
+        prob = build_problem(LatticeSpec(dims, probs))
+        grid = auto_grid(prob, 20_000, 0.1)
+        solve_alpha(prob, grid + 1j * default_epsilon(grid))
 
     def test_conjugate_symmetry(self):
         prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))

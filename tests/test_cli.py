@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from percolattice import _openblas, canonical, cli, espectrum, lattice, percolation
 from percolattice.canonical import OracleError, SolverError
 from percolattice.cli import main
+from percolattice.metrics import compare
 
 
 def _counting(calls, name, fn):
@@ -244,6 +245,22 @@ class TestSolve:
         assert main(["solve", "--dims", "4,5", "--probs", "0.7,0.5",
                      "--output", str(tmp_path / "det.csv")]) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, probs, points", [
+        ("164,193,182", "0.99058603,0.99058603,0.99058603", 200_000),
+        ("163,175", "0.00143464,0.99918271", 20_000),
+        ("400", "0.999999", 200_000),
+    ])
+    def test_points_converged_to_rounding_are_accepted(self, tmp_path, capsys, dims, probs,
+                                                       points):
+        # |r| stays at 3.1e-12, 4.9e-12 and 1.3e-10 here, above 1e-12 but at
+        # most 0.37 of the rounding noise of g's terms: these runs exited 3
+        out = tmp_path / "det.csv"
+        assert main(["solve", "--dims", dims, "--probs", probs,
+                     "--grid-points", str(points), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == points + 1
 
 
 class TestEigensolveFailure:
@@ -600,6 +617,21 @@ class TestCompare:
         header, cols = read_csv(out)
         assert header == ["x", "f_det", "F_det", "f_emp", "F_emp"]
         assert len(cols["x"]) == 2000
+
+    @pytest.mark.parametrize("argv", [
+        ["--dims", "4,5", "--probs", "0.7,0.5", "--trials", "3", "--seed", "5"],
+        ["--dims", "6,7", "--probs", "0.6,0.6", "--trials", "3", "--seed", "2",
+         "--normalized"],
+    ], ids=["plain", "normalized"])
+    def test_prints_the_distances_of_the_written_curves(self, tmp_path, capsys, argv):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--grid-points", "500", "--output", str(out)] + argv) == 0
+        _, cols = read_csv(out)
+        x = cols["x"]
+        report = compare(x, cols["F_det"], cols["F_emp"])
+        assert capsys.readouterr().out == (
+            f"kolmogorov={report.kolmogorov:.6g} levy={report.levy:.6g} "
+            f"grid_points={len(x)}\n")
 
     def test_normalized_mode_runs(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"

@@ -411,8 +411,8 @@ class TestSmoothedDensity:
         vals = np.sort(rng.normal(size=n_eigs))
         grid = np.linspace(-3.5, 3.5, n_grid)
         eps = 0.007
-        curve = smoothed_density(EmpiricalSpectrum(vals), grid, eps)
-        assert np.array_equal(curve.density, _reference_smoothed_density(vals, grid, eps))
+        dens = smoothed_density(EmpiricalSpectrum(vals), grid, eps)
+        assert np.array_equal(dens, _reference_smoothed_density(vals, grid, eps))
 
     def test_workspace_is_bounded(self):
         # the reference kernel peaks at 160 MB on this Figure 1a shape
@@ -437,7 +437,7 @@ class TestSmoothedDensity:
         one, grid = EmpiricalSpectrum(np.array([0.0])), np.array([0.0, 1.0])
         with pytest.raises(ValueError, match=r"epsilon=1e-170 is too small: epsilon\^2 under"):
             smoothed_density(one, grid, 1e-170)
-        assert np.isfinite(smoothed_density(one, grid, 1e-150).density).all()
+        assert np.isfinite(smoothed_density(one, grid, 1e-150)).all()
 
     def test_rejects_overflowing_epsilon(self):
         # eps**2 raised OverflowError for eps above sqrt(max float): a traceback
@@ -447,19 +447,19 @@ class TestSmoothedDensity:
         for eps in (math.nextafter(largest, math.inf), 1e300, np.float64(1e300)):
             with pytest.raises(ValueError, match=r"is too large: epsilon\^2 overflows"):
                 smoothed_density(one, grid, eps)
-        assert np.isfinite(smoothed_density(one, grid, largest).density).all()
+        assert np.isfinite(smoothed_density(one, grid, largest)).all()
 
     def test_cauchy_peak(self):
         s = EmpiricalSpectrum(np.array([0.0]))
         eps = 0.05
-        curve = smoothed_density(s, np.array([0.0]), eps)
-        assert curve.density[0] == pytest.approx(1 / (np.pi * eps))
+        dens = smoothed_density(s, np.array([0.0]), eps)
+        assert dens[0] == pytest.approx(1 / (np.pi * eps))
 
     def test_cauchy_half_width(self):
         s = EmpiricalSpectrum(np.array([0.0]))
         eps = 0.05
-        curve = smoothed_density(s, np.array([eps]), eps)
-        assert curve.density[0] == pytest.approx(1 / (2 * np.pi * eps))
+        dens = smoothed_density(s, np.array([eps]), eps)
+        assert dens[0] == pytest.approx(1 / (2 * np.pi * eps))
 
     def test_mass_within_widened_support(self):
         rng = np.random.default_rng(2)
@@ -468,10 +468,10 @@ class TestSmoothedDensity:
         eps = span / 60
         grid = np.linspace(s.eigenvalues.min() - 10 * eps,
                            s.eigenvalues.max() + 10 * eps, 3000)
-        curve = smoothed_density(s, grid, eps)
-        mass = np.trapezoid(curve.density, grid)
+        dens = smoothed_density(s, grid, eps)
+        mass = np.trapezoid(dens, grid)
         assert 0.95 <= mass <= 1.0
-        assert curve.density.min() >= 0.0
+        assert dens.min() >= 0.0
 
 
 class TestSpectralRanges:

@@ -4,7 +4,6 @@ import pytest
 from percolattice import canonical
 from percolattice.canonical import SolverError, build_problem, solve_alpha
 from percolattice.inversion import (
-    SpectralCurve,
     auto_grid,
     cdf_from_density,
     default_epsilon,
@@ -13,6 +12,7 @@ from percolattice.inversion import (
     span_grid,
 )
 from percolattice.lattice import LatticeSpec, branch_table, expected_spectrum, node_count
+from percolattice.metrics import compare
 
 
 def point_mass(location):
@@ -29,22 +29,22 @@ def semicircle_transform(z):
 class TestDensityCurve:
     def test_point_mass_peak(self):
         eps = 0.01
-        curve = density_curve(point_mass(0.5), np.array([0.0, 0.5, 1.0]), eps)
-        assert curve.density[1] == pytest.approx(1 / (np.pi * eps))
+        dens = density_curve(point_mass(0.5), np.array([0.0, 0.5, 1.0]), eps)
+        assert dens[1] == pytest.approx(1 / (np.pi * eps))
 
     def test_semicircle_center(self):
         eps = 0.002
-        curve = density_curve(semicircle_transform, np.array([0.0]), eps)
-        assert abs(curve.density[0] - 1 / np.pi) < 2 * eps
+        dens = density_curve(semicircle_transform, np.array([0.0]), eps)
+        assert abs(dens[0] - 1 / np.pi) < 2 * eps
 
     def test_far_field_decay(self):
         prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
         x = np.abs(prob.atoms).max() + 10.0
         eps = 0.01
-        curve = density_curve(
+        dens = density_curve(
             lambda z: solve_alpha(prob, z).alpha_principal, np.array([x]), eps
         )
-        assert curve.density[0] <= eps * 1e-1
+        assert dens[0] <= eps * 1e-1
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
@@ -80,48 +80,48 @@ class TestDensityCurve:
 
     def test_nonnegative_for_herglotz_input(self):
         grid = np.linspace(-3, 3, 400)
-        curve = density_curve(semicircle_transform, grid, 0.01)
-        assert curve.density.min() >= 0.0
+        dens = density_curve(semicircle_transform, grid, 0.01)
+        assert dens.min() >= 0.0
 
 
 class TestCdfCurve:
     def test_point_mass_arctan_bounds(self):
         grid = np.linspace(-5, 5, 4001)
-        curve = cdf_from_density(density_curve(point_mass(0.0), grid, 0.01))
-        assert curve.cdf[np.searchsorted(grid, -1.0)] <= 0.01
-        assert curve.cdf[np.searchsorted(grid, 1.0)] >= 0.99
+        cdf = cdf_from_density(grid, density_curve(point_mass(0.0), grid, 0.01))
+        assert cdf[np.searchsorted(grid, -1.0)] <= 0.01
+        assert cdf[np.searchsorted(grid, 1.0)] >= 0.99
 
     def test_semicircle_median(self):
         grid = np.linspace(-3, 3, 2001)
-        curve = cdf_from_density(
-            density_curve(semicircle_transform, grid, 2 * default_epsilon(grid) / 2))
-        assert abs(curve.cdf[np.searchsorted(grid, 0.0)] - 0.5) < 0.01
+        cdf = cdf_from_density(
+            grid, density_curve(semicircle_transform, grid, 2 * default_epsilon(grid) / 2))
+        assert abs(cdf[np.searchsorted(grid, 0.0)] - 0.5) < 0.01
 
     def test_atomic_steps_at_midgaps(self):
         spec = LatticeSpec((4, 5), (1.0, 1.0))
         prob = build_problem(spec)
         grid = auto_grid(prob, 2000, 0.1)
         eps = default_epsilon(grid)
-        curve = cdf_from_density(density_curve(
+        cdf = cdf_from_density(grid, density_curve(
             lambda z: solve_alpha(prob, z).alpha_principal, grid, eps
         ))
         atoms, mults = expected_spectrum(spec)
         cum = np.cumsum(mults) / node_count(spec)
         mids = (atoms[:-1] + atoms[1:]) / 2
-        got = np.interp(mids, grid, curve.cdf)
+        got = np.interp(mids, grid, cdf)
         assert np.abs(got - cum[:-1]).max() < 0.02
 
     def test_monotone_and_right_edge(self):
         grid = np.linspace(-3, 3, 1500)
-        curve = cdf_from_density(
-            density_curve(semicircle_transform, grid, default_epsilon(grid)))
-        assert np.all(np.diff(curve.cdf) >= -1e-12)
-        assert 0.97 <= curve.cdf[-1] <= 1.0
+        cdf = cdf_from_density(
+            grid, density_curve(semicircle_transform, grid, default_epsilon(grid)))
+        assert np.all(np.diff(cdf) >= -1e-12)
+        assert 0.97 <= cdf[-1] <= 1.0
 
     def test_rejects_insufficient_right_edge_mass(self):
         grid = np.linspace(-5, -2, 500)  # support of semicircle not covered
         with pytest.raises(ValueError, match="widen"):
-            cdf_from_density(density_curve(semicircle_transform, grid, 0.01))
+            cdf_from_density(grid, density_curve(semicircle_transform, grid, 0.01))
 
 
 def test_empirical_machinery_symmetry():
@@ -133,11 +133,11 @@ def test_empirical_machinery_symmetry():
     pooled = monte_carlo_spectrum(spec, 21, 10)
     grid = auto_grid(prob, 2000, 0.1)
     eps = default_epsilon(grid)
-    curve = cdf_from_density(smoothed_density(pooled, grid, eps))
+    cdf = cdf_from_density(grid, smoothed_density(pooled, grid, eps))
     step = np.asarray(esd_cdf(pooled, grid), dtype=float)
     # compare away from the atom-like jumps: mid-gap via sup over a coarse probe
-    assert np.abs(curve.cdf - step).mean() < 0.005
-    assert np.abs(curve.cdf - step).max() < 0.05
+    assert np.abs(cdf - step).mean() < 0.005
+    assert np.abs(cdf - step).max() < 0.05
 
 
 def test_cdf_matches_scipy_cumulative_trapezoid():
@@ -149,9 +149,9 @@ def test_cdf_matches_scipy_cumulative_trapezoid():
         grid = np.cumsum(rng.uniform(0.01, 1.0, size=n))
         dens = rng.uniform(0.0, 1.0, size=n)
         dens /= cumulative_trapezoid(dens, grid)[-1]
-        curve = cdf_from_density(SpectralCurve(grid=grid, density=dens))
+        cdf = cdf_from_density(grid, dens)
         expected = np.clip(cumulative_trapezoid(dens, grid, initial=0.0), 0.0, 1.0)
-        assert curve.cdf.tobytes() == expected.tobytes()
+        assert cdf.tobytes() == expected.tobytes()
 
 
 class TestAutoGrid:
@@ -207,29 +207,42 @@ class TestSpanGrid:
 
 
 class TestSpectralCurve:
+    # the checks of the deleted curve type, kept under its name: a grid and a
+    # density are checked by cdf_from_density, a grid and a CDF by compare
+    @staticmethod
+    def by_both(grid):
+        return [lambda: cdf_from_density(grid, np.zeros(len(grid))),
+                lambda: compare(grid, np.zeros(len(grid)), np.zeros(len(grid)))]
+
     def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            SpectralCurve(grid=np.array([0.0, -1.0]))
+        for check in self.by_both(np.array([0.0, -1.0])):
+            with pytest.raises(ValueError, match="^grid must be finite and strictly ascending$"):
+                check()
 
     # [0, nan, 1] used to pass the ascending check: nan <= 0 is False
     @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [np.nan, 0.0], [0.0, 1.0, np.inf],
                                       [-np.inf, 0.0, 1.0], [np.nan]])
     def test_rejects_non_finite_grid(self, grid):
-        with pytest.raises(ValueError, match="finite"):
-            SpectralCurve(grid=grid)
+        for check in self.by_both(grid):
+            with pytest.raises(ValueError, match="finite"):
+                check()
 
     def test_rejects_decreasing_cdf(self):
         with pytest.raises(ValueError):
-            SpectralCurve(grid=np.array([0.0, 1.0]), cdf=np.array([0.5, 0.2]))
+            compare(np.array([0.0, 1.0]), np.array([0.5, 0.2]), np.array([0.5, 0.5]))
 
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
-            SpectralCurve(grid=np.array([0.0, 1.0]), density=np.array([0.1, -0.1]))
+            cdf_from_density(np.array([0.0, 1.0]), np.array([0.1, -0.1]))
 
     @pytest.mark.parametrize("side", ["cdf", "density"])
     def test_rejects_wrong_length(self, side):
+        grid, short = [0.0, 1.0, 2.0], [0.0, 1.0]
         with pytest.raises(ValueError, match=f"^{side} length must match grid$"):
-            SpectralCurve(grid=[0.0, 1.0, 2.0], **{side: [0.0, 1.0]})
+            if side == "cdf":
+                compare(grid, [0.0, 0.5, 1.0], short)
+            else:
+                cdf_from_density(grid, short)
 
     # NaN passed every `<` / `>` check, so metrics.compare of such a curve
     # with a finite one returned NaN distances instead of raising
@@ -237,13 +250,13 @@ class TestSpectralCurve:
                                      [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0]])
     def test_rejects_non_finite_cdf(self, cdf):
         with pytest.raises(ValueError, match="cdf must be nondecreasing within"):
-            SpectralCurve(grid=[0.0, 1.0, 2.0], cdf=cdf)
+            compare([0.0, 1.0, 2.0], cdf, [0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("density", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5],
                                          [0.5, np.inf, 0.5], [0.5, 0.5, -np.inf]])
     def test_rejects_non_finite_density(self, density):
         with pytest.raises(ValueError, match="density must be finite and nonnegative"):
-            SpectralCurve(grid=[0.0, 1.0, 2.0], density=density)
+            cdf_from_density([0.0, 1.0, 2.0], density)
 
 
 class TestGridSpacing:

@@ -10,8 +10,9 @@ import numpy as np
 
 from percolattice import LatticeSpec, build_problem, solve_alpha
 from percolattice.espectrum import monte_carlo_spectrum, smoothed_density
-from percolattice.inversion import auto_grid, cdf_from_density, default_epsilon, density_curve
-from percolattice.metrics import compare
+from percolattice.inversion import (
+    auto_grid, cdf_from_density, compare, default_epsilon, density_curve,
+)
 
 spec = LatticeSpec(dims=(30, 50), probs=(0.7, 0.5))
 problem = build_problem(spec)

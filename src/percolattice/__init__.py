@@ -19,7 +19,7 @@ from .espectrum import (
     pool,
     smoothed_density,
 )
-from .inversion import auto_grid, density_curve
+from .inversion import DistanceReport, auto_grid, compare, density_curve
 from .lattice import (
     LatticeSpec,
     SizeLimitError,
@@ -31,7 +31,6 @@ from .lattice import (
     node_count,
     supergraph_edges,
 )
-from .metrics import DistanceReport, compare
 from .percolation import (
     GirkoConditionReport,
     PercolationSample,

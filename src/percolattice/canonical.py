@@ -243,12 +243,15 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
 def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -> dict:
     """Solve the full 2^D linear system for every resolvent coefficient.
 
-    Takes the solution at one scalar z and returns the 2^D coefficients
-    keyed by the index tuple i. The system matrix is the Kronecker product
-    over dimensions of the 2x2 factors [[M_d - 1, 1], [-1, 1]] (rows j_d,
-    columns i_d), each with determinant M_d >= 2, so it is solved one axis
-    at a time in O(D 2^D) with the factor inverses [[1, -1], [1, M_d - 1]] / M_d.
+    Takes the solution at one scalar z (ValueError for an array of z) and returns
+    the 2^D coefficients keyed by the index tuple i. The system matrix is the
+    Kronecker product over dimensions of the 2x2 factors [[M_d - 1, 1], [-1, 1]]
+    (rows j_d, columns i_d), each with determinant M_d >= 2, so it is solved one
+    axis at a time in O(D 2^D) with the factor inverses [[1, -1], [1, M_d - 1]] / M_d.
     """
+    if np.ndim(solution.z) != 0:
+        raise ValueError("recover_all_alphas takes solve_alpha's solution at one "
+                         f"scalar z, not at z of shape {np.shape(solution.z)}")
     spec = problem.spec
     d = spec.ndim
     alpha = solution.alpha_principal

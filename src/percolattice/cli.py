@@ -24,9 +24,9 @@ from .canonical import (
 from .espectrum import check_trials, monte_carlo_spectrum, smoothed_density
 from .espectrum import theorem3_spectra
 from .inversion import auto_grid, cdf_from_density, check_epsilon, check_grid
+from .inversion import compare as compare_curves
 from .inversion import default_epsilon, density_curve, span_grid
 from .lattice import EIGENSOLVE_LIMIT, LatticeSpec, SizeLimitError, check_size, node_count
-from .metrics import compare as compare_curves
 from .percolation import girko_conditions
 
 EXIT_OK = 0

@@ -1,8 +1,10 @@
-"""Stieltjes inversion: density and CDF curves on a real grid."""
+"""Curves on a real grid: Stieltjes inversion to a density and a CDF, the
+grid rules, and the Kolmogorov and Levy distances between two CDFs."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +18,7 @@ _NEGATIVE_DENSITY_TOL = 1e-12
 MIN_RIGHT_EDGE_MASS = 0.97
 
 
-def on_grid(grid, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _on_grid(grid, values, name: str) -> tuple[np.ndarray, np.ndarray]:
     """grid and values as float arrays; ValueError unless the grid is finite and
     strictly ascending and the `name` values have its length."""
     grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
@@ -69,7 +71,7 @@ def density_curve(stieltjes, grid, epsilon: float) -> np.ndarray:
 
 def cdf_from_density(grid, density) -> np.ndarray:
     """Trapezoid-integrate a density on an ascending grid into a clipped CDF."""
-    x, y = on_grid(grid, density, "density")
+    x, y = _on_grid(grid, density, "density")
     if not (np.all(np.isfinite(y)) and y.min() >= -_NEGATIVE_DENSITY_TOL):
         raise ValueError("density must be finite and nonnegative")
     # the arithmetic of scipy.integrate.cumulative_trapezoid(y, x, initial=0)
@@ -117,3 +119,53 @@ def span_grid(lo: float, hi: float, points: int, margin: float) -> np.ndarray:
         raise ValueError(f"values in [{lo:g}, {hi:g}] at margin {margin:g} give no strictly "
                          "ascending grid; choose a larger margin")
     return grid
+
+
+@dataclass(frozen=True)
+class DistanceReport:
+    kolmogorov: float
+    levy: float
+
+
+def _step_eval(grid: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Right-continuous step interpolation, clamped to the end values."""
+    return cdf[np.maximum(np.searchsorted(grid, x, side="right") - 1, 0)]
+
+
+def _levy_feasible(grid: np.ndarray, fa: np.ndarray, fb: np.ndarray, eps: float) -> bool:
+    lo = _step_eval(grid, fa, grid - eps) - eps
+    hi = _step_eval(grid, fa, grid + eps) + eps
+    return bool(np.all(lo <= fb + 1e-15) and np.all(fb <= hi + 1e-15))
+
+
+def _checked_cdf(grid, cdf) -> tuple[np.ndarray, np.ndarray]:
+    grid, cdf = _on_grid(grid, cdf, "cdf")
+    in_range = np.all((cdf >= -1e-9) & (cdf <= 1 + 1e-9))  # False at NaN
+    if not in_range or np.any(np.diff(cdf) < -1e-9):
+        raise ValueError("cdf must be nondecreasing within [0, 1]")
+    return grid, cdf
+
+
+def compare(grid, cdf_a, cdf_b) -> DistanceReport:
+    """Kolmogorov and Levy distances of two CDFs on one ascending grid.
+
+    Kolmogorov: max over the grid of |F_a - F_b|.
+    Levy: the smallest eps (to grid resolution) with
+    F_a(x-eps)-eps <= F_b(x) <= F_a(x+eps)+eps, checked in both orientations
+    and bisected to a quarter of the grid spacing from eps = Kolmogorov,
+    which is always feasible, so Levy never exceeds Kolmogorov. ValueError
+    unless the grid is finite and strictly ascending and each CDF has its
+    length and is nondecreasing within [0, 1] (to 1e-9; NaN is refused).
+    """
+    _, fa = _checked_cdf(grid, cdf_a)
+    grid, fb = _checked_cdf(grid, cdf_b)
+    kol = float(np.abs(fa - fb).max())
+    lo, lev = 0.0, kol
+    tol = max((grid_spacing(grid) if len(grid) > 1 else kol) / 4.0, 1e-15)
+    while lev > 0.0 and lev - lo > tol:
+        mid = 0.5 * (lo + lev)
+        if _levy_feasible(grid, fa, fb, mid) and _levy_feasible(grid, fb, fa, mid):
+            lev = mid
+        else:
+            lo = mid
+    return DistanceReport(kolmogorov=kol, levy=lev)

@@ -40,7 +40,7 @@ def check_size(what: str, size: int, limit: int, name: str = "N") -> None:
         raise SizeLimitError(f"{what} refused for {name}={size} > {limit}")
 
 
-def is_integral(m) -> bool:
+def _is_integral(m) -> bool:
     """An integer, numpy's included, or an integral float such as 4.0; not a bool."""
     if isinstance(m, bool) or not isinstance(m, numbers.Real):
         return False
@@ -56,7 +56,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         dims, probs = tuple(self.dims), tuple(self.probs)
-        if not all(is_integral(m) for m in dims):
+        if not all(_is_integral(m) for m in dims):
             raise ValueError(f"every dimension size must be an integer, got {dims}")
         if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in probs):
             raise ValueError(f"every link probability must be a real number, got {probs}")

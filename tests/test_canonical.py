@@ -489,6 +489,16 @@ class TestRecoverAllAlphas:
             vec = recover_all_alphas(prob, sol)
             assert abs(vec[(1,) * d] - sol.alpha_principal) < 1e-10
 
+    # a grid solution used to reach numpy's arithmetic: a shape-broadcast
+    # error at 2 points on (4,5), an ambiguous truth value at 4 (2^D = 4)
+    @pytest.mark.parametrize("points", [2, 4])
+    def test_refuses_a_grid_solution(self, points):
+        prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
+        sol = solve_alpha(prob, np.linspace(-1.0, 1.0, points) + 0.1j)
+        with pytest.raises(ValueError, match=r"^recover_all_alphas takes solve_alpha's "
+                           rf"solution at one scalar z, not at z of shape \({points},\)$"):
+            recover_all_alphas(prob, sol)
+
 
 class TestMatrixOracle:
     def test_probabilities_one_is_exact_resolvent_trace(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from percolattice import _openblas, canonical, cli, espectrum, lattice, percolation
 from percolattice.canonical import OracleError, SolverError
 from percolattice.cli import main
-from percolattice.metrics import compare
+from percolattice.inversion import compare
 
 
 def _counting(calls, name, fn):

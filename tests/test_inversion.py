@@ -6,13 +6,13 @@ from percolattice.canonical import SolverError, build_problem, solve_alpha
 from percolattice.inversion import (
     auto_grid,
     cdf_from_density,
+    compare,
     default_epsilon,
     density_curve,
     grid_spacing,
     span_grid,
 )
 from percolattice.lattice import LatticeSpec, branch_table, expected_spectrum, node_count
-from percolattice.metrics import compare
 
 
 def point_mass(location):
@@ -244,7 +244,7 @@ class TestSpectralCurve:
             else:
                 cdf_from_density(grid, short)
 
-    # NaN passed every `<` / `>` check, so metrics.compare of such a curve
+    # NaN passed every `<` / `>` check, so compare of such a curve
     # with a finite one returned NaN distances instead of raising
     @pytest.mark.parametrize("cdf", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0],
                                      [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0]])

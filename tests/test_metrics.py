@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolattice.metrics import DistanceReport, compare
+from percolattice.inversion import DistanceReport, compare
 
 
 def step_cdf(location, grid):

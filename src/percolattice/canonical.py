@@ -73,8 +73,9 @@ def build_problem(spec: LatticeSpec) -> CanonicalProblem:
     )
 
 
-# Grid points solved together. Every temporary is a length-block vector, so
-# memory stays flat however long the grid is.
+# Grid points solved together. Beyond alpha and |r|, a grid costs one byte
+# per point and the indices of its ladder points; every other temporary is a
+# length-block vector, so memory stays flat however long the grid is.
 _BLOCK = 2048
 
 # Continuation in |Im z|: start here, divide by _LEVEL_RATIO per level.
@@ -90,6 +91,14 @@ _TOL = 1e-12
 
 # Sweeps per level.
 _MAX_SWEEPS = 200
+
+# Grid continuation: the ladder solves every _STRIDE-th point and the last;
+# a point between two of them on its own Im z starts from their line if they
+# lie at most _NEAR * |Im z| apart (16 eps on the CLI's grids, eps = 2 spacings).
+# Farther apart the line is a poor start: warm-started without this rule, a
+# 500-point grid at Im z = 1e-8 took 102 sweeps against the ladder's 42.
+_STRIDE = 32
+_NEAR = 32.0
 
 # Matrix oracle: the largest relative miss of B's solution form and V's row sums.
 _FORM_TOL = 1e-11
@@ -113,21 +122,39 @@ def _g(atoms, weights, sig2, z, alpha):
     return g, sig2 * gp
 
 
+def _noise(atoms, weights, omega):
+    """eps_mach * sum_k w_k (|b_k| + |omega|) / |b_k - omega|^2: g's rounding noise."""
+    with np.errstate(all="ignore"):
+        return np.finfo(float).eps * sum(
+            w * (abs(b) + np.abs(omega)) / np.abs(b - omega) ** 2
+            for b, w in zip(atoms, weights))
+
+
+def _converged(atoms, weights, sig2, z, alpha, residual):
+    """Per point: |r| <= _TOL, or else |r| within g's rounding noise (NaN fails both)."""
+    ok = residual <= _TOL
+    miss = np.flatnonzero(~ok)
+    ok[miss] = residual[miss] <= _noise(atoms, weights, z[miss] + sig2 * alpha[miss])
+    return ok
+
+
 def _solve_level(atoms, weights, sig2, z, alpha, tol):
     """Sweeps at fixed z until |alpha - g(alpha)| <= tol at every point.
 
     Each sweep, every unconverged point takes the full Newton step if it
     stays on the point's half-plane and shrinks |r|, and one step of the
     averaged map otherwise. g and g' are evaluated once at the new iterate
-    and reused by the next sweep. Returns alpha, |residual| and the sweep
-    count.
+    and reused by the next sweep. A point whose Newton step is rejected
+    while |r| is within g's rounding noise has stalled: it keeps its alpha
+    and sweeps no more. Returns alpha, |residual| and the sweep count.
     """
     s = np.sign(z.imag)
     g, gp = _g(atoms, weights, sig2, z, alpha)
     r = alpha - g
+    live = np.ones(z.shape, dtype=bool)
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
-        act = np.flatnonzero(np.abs(r) > tol)
+        act = np.flatnonzero(live & (np.abs(r) > tol))
         if act.size == 0:
             break
         sweeps += 1
@@ -137,11 +164,18 @@ def _solve_level(atoms, weights, sig2, z, alpha, tol):
         ok = s[act] * new.imag > 0
         ga[ok], gpa[ok] = _g(atoms, weights, sig2, za[ok], new[ok])
         ok[ok] = np.abs(new[ok] - ga[ok]) < np.abs(ra[ok])
+        # a rejected step at |r| within g's rounding noise: the point has stalled
+        stall = ~ok
+        stall[stall] = np.abs(ra[stall]) <= _noise(atoms, weights, za[stall] + sig2 * aa[stall])
         # averaged map (alpha + g(alpha)) / 2 = alpha - r / 2: it maps the
         # half-plane into itself, so it converges from any start
-        back = ~ok
+        back = ~(ok | stall)
         new[back] = aa[back] - 0.5 * ra[back]
         ga[back], gpa[back] = _g(atoms, weights, sig2, za[back], new[back])
+        if stall.any():
+            live[act[stall]] = False
+            move = ~stall
+            act, new, ga, gpa = act[move], new[move], ga[move], gpa[move]
         alpha[act], r[act], gp[act] = new, new - ga, gpa
     return alpha, np.abs(r), sweeps
 
@@ -167,32 +201,107 @@ def _solve_block(atoms, weights, sig2, z):
     return alpha, residual, sweeps
 
 
+def _ladder_pass(atoms, weights, sig2, z, points, alpha, residual):
+    """The ladder on z[points], _BLOCK points at a time, written into alpha and
+    residual. Returns the most sweeps a block needed."""
+    sweeps = 0
+    for lo in range(0, points.size, _BLOCK):
+        p = points[lo:lo + _BLOCK]
+        alpha[p], residual[p], n = _solve_block(atoms, weights, sig2, z[p])
+        sweeps = max(sweeps, n)
+    return sweeps
+
+
+def _warm_points(z, lo):
+    """The warm points of z[lo:lo + _BLOCK] and their left and right ladder points."""
+    i = np.arange(lo, min(lo + _BLOCK, z.size))
+    left = i - i % _STRIDE
+    right = np.minimum(left + _STRIDE, z.size - 1)
+    x, y = z.real, z.imag
+    warm = ((left < i) & (i < right) & (y[i] == y[left]) & (y[i] == y[right])
+            & (np.abs(x[right] - x[left]) <= _NEAR * np.abs(y[i])))
+    return i[warm], left[warm], right[warm]
+
+
+def _warm_block(atoms, weights, sig2, z, alpha, lo):
+    """The last level alone for the warm points of z[lo:lo + _BLOCK], each started
+    on the line between its ladder points' alpha. Returns their indices, alpha,
+    |residual| and the sweep count."""
+    i, left, right = _warm_points(z, lo)
+    x = z.real
+    dx = x[right] - x[left]
+    t = np.divide(x[i] - x[left], dx, out=np.zeros(dx.shape), where=dx != 0)
+    np.clip(t, 0.0, 1.0, out=t)
+    # a convex combination of two points of the half-plane lies on it
+    start = alpha[left] + t * (alpha[right] - alpha[left])
+    return (i, *_solve_level(atoms, weights, sig2, z[i], start, _TOL))
+
+
+def _solve_grid(atoms, weights, sig2, z):
+    """The ladder on every point that is not warm, then the warm points block by
+    block, then the ladder again on each warm point that meets neither
+    acceptance bound. Returns alpha, |residual| and the most sweeps of a block."""
+    alpha = np.empty_like(z)
+    residual = np.empty(z.shape)
+    blocks = range(0, z.size, _BLOCK)
+    cold = np.ones(z.shape, dtype=bool)
+    for lo in blocks:
+        cold[_warm_points(z, lo)[0]] = False
+    sweeps = _ladder_pass(atoms, weights, sig2, z, np.flatnonzero(cold), alpha, residual)
+    redo = []
+    for lo in blocks:
+        i, a, r, n = _warm_block(atoms, weights, sig2, z, alpha, lo)
+        alpha[i], residual[i] = a, r
+        sweeps = max(sweeps, n)
+        redo.append(i[~_converged(atoms, weights, sig2, z[i], a, r)])
+    redo = np.concatenate(redo)
+    if redo.size:
+        sweeps = max(sweeps, _ladder_pass(atoms, weights, sig2, z, redo, alpha, residual))
+    return alpha, residual, sweeps
+
+
 def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     """Solve the scalar self-consistency equation at z (Im z != 0 everywhere).
 
-    z is a complex scalar or a 1-D array of them; every point is solved at
-    once, in blocks of _BLOCK points, on the distinct branch values (equal
-    b_j merged). Each point starts at i*sign(Im z) with |Im z| = 2 and is
-    continued down to its own |Im z|, dividing by 64 per level; the solution
-    at one level starts the next. At each level every unconverged point
-    takes the Newton step alpha <- alpha - r/(1 - g'(alpha)) on the residual
-    r = alpha - g(alpha) if the iterate stays on its half-plane
-    (Im z * Im alpha > 0) and |r| shrinks. Otherwise the point takes one
-    step of the averaged map alpha <- (alpha + g(alpha))/2,
-    which maps the half-plane strictly into itself and so, by the
-    Earle-Hamilton theorem, converges from any start (Helton, Rashidi Far
-    and Speicher, "Operator-valued semicircular elements: solving a
-    quadratic matrix equation with positivity constraints", IMRN 2007).
-    Intermediate levels stop at |r| <= 1e-6, the last at |r| <= 1e-12. A
-    point that ends above 1e-12 is accepted if |r| is within the rounding
-    noise of g's terms where b_j - omega cancels, omega = z + sigma^2 alpha:
+    z is a complex scalar or a 1-D array of them, solved in two passes, each
+    in blocks of _BLOCK points, on the distinct branch values (equal b_j
+    merged). The ladder pass takes every 32nd point, the last point and every
+    point the warm pass cannot take. Each starts at i*sign(Im z) with
+    |Im z| = 2 and is continued down to its own |Im z|, dividing by 64 per
+    level; the solution at one level starts the next. The warm pass takes
+    every other point whose two ladder neighbours share its exact Im z and
+    lie at most 32 |Im z| apart in Re z, as on the CLI's grids: it starts
+    from their linear interpolation at its Re z, a convex combination that
+    stays on the half-plane, and runs the last level only. At each level
+    every unconverged point takes the Newton step
+    alpha <- alpha - r/(1 - g'(alpha)) on the residual r = alpha - g(alpha)
+    if the iterate stays on its half-plane (Im z * Im alpha > 0) and |r|
+    shrinks. Otherwise the point takes one step of the averaged map
+    alpha <- (alpha + g(alpha))/2, which maps the half-plane strictly into
+    itself and so, by the Earle-Hamilton theorem, converges from any start
+    (Helton, Rashidi Far and Speicher, "Operator-valued semicircular
+    elements: solving a quadratic matrix equation with positivity
+    constraints", IMRN 2007). Intermediate levels stop at |r| <= 1e-6, the
+    last at |r| <= 1e-12. A point that ends above 1e-12 is accepted if |r| is
+    within the rounding noise of g's terms where b_j - omega cancels,
+    omega = z + sigma^2 alpha:
     |r| <= eps_mach * sum_j w_j (|b_j| + |omega|) / |b_j - omega|^2.
+    A point whose Newton step is rejected within that noise stops sweeping.
+    A warm point that meets neither bound is solved again by the ladder.
+
+    A warm point's alpha depends on its ladder neighbours, so it can differ
+    from the point's scalar solve, but only within the solver's accuracy:
+    both meet the same residual rule, so each lies within |r| / (1 - sqrt(kappa))
+    of the one root, kappa = sigma^2 sum_j w_j / |b_j - omega|^2 (Ajanki,
+    Erdos and Kruger, Mem. AMS 261, 2019). An input with no warm point, such
+    as oracle_z_grid() or a grid whose ladder points differ in Im z or lie
+    farther apart, takes the ladder only and gets its bits.
 
     Returns alpha_principal with z's shape (a complex for scalar z), the
     worst |r| over the points and, as iterations, the largest number of
-    vectorized sweeps any block needed. Raises SolverError naming the
-    worst point if any point meets neither bound, and ValueError if any z
-    is real or not finite.
+    vectorized sweeps any block of either pass needed. Raises SolverError
+    naming the worst point if any point meets neither bound, and ValueError
+    if any z is real or not finite.
     """
     scalar = np.ndim(z) == 0
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -210,21 +319,8 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
         residual = np.zeros(zs.shape)
         sweeps = 1
     else:
-        alpha = np.empty_like(zs)
-        residual = np.empty(zs.shape)
-        sweeps = 0
-        for lo in range(0, zs.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            alpha[block], residual[block], n = _solve_block(
-                atoms, weights, sig2, zs[block])
-            sweeps = max(sweeps, n)
-        miss = np.flatnonzero(~(residual <= _TOL))  # then the rounding rule; NaN fails both
-        omega = zs[miss] + sig2 * alpha[miss]
-        with np.errstate(all="ignore"):
-            noise = np.finfo(float).eps * sum(
-                w * (abs(b) + np.abs(omega)) / np.abs(b - omega) ** 2
-                for b, w in zip(atoms, weights))
-        failed = miss[~(residual[miss] <= noise)]
+        alpha, residual, sweeps = _solve_grid(atoms, weights, sig2, zs)
+        failed = np.flatnonzero(~_converged(atoms, weights, sig2, zs, alpha, residual))
         if failed.size:
             worst = int(failed[np.argmax(residual[failed])])
             raise SolverError(

@@ -164,6 +164,29 @@ def _ladder4_solve(problem, zs, tol=1e-12):
     return alpha, sweeps
 
 
+def _certified_bound(problem, zs, alpha):
+    """|r| / (1 - sqrt(kappa)) per point, after asserting kappa < 1 at each.
+
+    With q_j = b_j - z - sigma^2 alpha at the given alpha and
+    kappa = sigma^2 sum_j w_j / |q_j|^2 < 1, Cauchy-Schwarz bounds the error by
+    |alpha - alpha*| <= |r| / (1 - sqrt(kappa)), r = alpha - g(alpha).
+    """
+    w = problem.weights[:, None]
+    q = problem.atoms[:, None] - zs - problem.variance_sum * alpha
+    r = alpha - np.sum(w / q, axis=0)
+    kappa = problem.variance_sum * np.sum(w / np.abs(q) ** 2, axis=0)
+    assert kappa.max() < 1
+    return np.abs(r) / (1 - np.sqrt(kappa))
+
+
+def _ladder_only(problem, zs):
+    """solve_alpha's alpha with every point on the continuation ladder."""
+    alpha, residual = np.empty_like(zs), np.empty(zs.shape)
+    canonical._ladder_pass(problem.atoms, problem.weights, problem.variance_sum,
+                           zs, np.arange(zs.size), alpha, residual)
+    return alpha
+
+
 def _g_unbuffered(atoms, weights, sig2, z, alpha):
     """The _g loop before its buffers, one temporary per operation."""
     shift = z + sig2 * alpha
@@ -293,10 +316,16 @@ class TestSolveAlpha:
         assert sol.alpha_principal.shape == zs.shape
         assert isinstance(sol.residual, float) and sol.residual <= 1e-12
         assert isinstance(sol.iterations, int) and sol.iterations >= 1
-        for k in (0, 1234, 2048, 4999):
+        for k in (0, 2048, 4999):  # ladder points: every 32nd and the last
             one = solve_alpha(prob, zs[k])
             assert isinstance(one.alpha_principal, complex)
             assert abs(one.alpha_principal - sol.alpha_principal[k]) < 1e-13
+        # a warm point runs other arithmetic than its scalar solve; both lie
+        # within their certified bound of the one root
+        one = solve_alpha(prob, zs[1234]).alpha_principal
+        both = np.array([one, sol.alpha_principal[1234]])
+        bound = _certified_bound(prob, np.full(2, zs[1234]), both).sum()
+        assert abs(both[0] - both[1]) <= bound
 
     @pytest.mark.parametrize("dims, probs", [
         ((30, 50), (0.7, 0.5)),
@@ -325,22 +354,15 @@ class TestSolveAlpha:
         pytest.param((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2), 20000, id="det-sweep-d5"),
     ])
     def test_error_is_certified_at_every_grid_point(self, dims, probs, points):
-        # With q_j = b_j - z - sigma^2 alpha at the returned alpha and
-        # kappa = sigma^2 sum_j w_j / |q_j|^2 < 1, Cauchy-Schwarz bounds the
-        # error by |alpha - alpha*| <= |r| / (1 - sqrt(kappa)), r = alpha - g(alpha).
         # 1 - kappa is the quadratic vector equation's stability factor (Ajanki,
         # Erdos and Kruger, Mem. AMS 261, 2019). Measured: max kappa 0.9788,
-        # 0.9784, 0.9978, 0.9980; worst bound 6.4e-11, 5.5e-11, 4.1e-10, 5.2e-10.
+        # 0.9784, 0.9978, 0.9980; worst bound 4.7e-11, 7.0e-11, 3.9e-10, 7.3e-10
+        # (6.4e-11, 5.5e-11, 4.1e-10, 5.2e-10 with every point on the ladder).
         prob = build_problem(LatticeSpec(dims, probs))
         grid = auto_grid(prob, points, 0.1)
         zs = grid + 1j * default_epsilon(grid)
         alpha = solve_alpha(prob, zs).alpha_principal
-        w = prob.weights[:, None]
-        q = prob.atoms[:, None] - zs - prob.variance_sum * alpha
-        r = alpha - np.sum(w / q, axis=0)
-        kappa = prob.variance_sum * np.sum(w / np.abs(q) ** 2, axis=0)
-        assert kappa.max() < 1
-        assert np.max(np.abs(r) / (1 - np.sqrt(kappa))) <= 1e-9
+        assert np.max(_certified_bound(prob, zs, alpha)) <= 1e-9
 
     def test_cold_start_sweep(self):
         # random specs, no warm start, down to Im z = 1e-8
@@ -406,18 +428,25 @@ class TestSolveAlpha:
             assert abs(a * (-z) - 1) < 1e-3
 
 
+@pytest.fixture
+def g_evaluations(monkeypatch):
+    """A one-element list that counts canonical._g's point-evaluations."""
+    evaluations = [0]
+    g = canonical._g
+
+    def counted(atoms, weights, sig2, z, alpha):
+        evaluations[0] += z.size
+        return g(atoms, weights, sig2, z, alpha)
+
+    monkeypatch.setattr(canonical, "_g", counted)
+    return evaluations
+
+
 class TestSolverWork:
-    def test_no_more_work_than_the_4x_ladder(self, monkeypatch):
+    def test_no_more_work_than_the_4x_ladder(self, g_evaluations):
         # every grid fits in one _BLOCK, so the one-block copy sees the same
         # blocks; g point-evaluations and sweeps are compared call by call
-        evaluations = [0]
-        g = canonical._g
-
-        def counted(atoms, weights, sig2, z, alpha):
-            evaluations[0] += z.size
-            return g(atoms, weights, sig2, z, alpha)
-
-        monkeypatch.setattr(canonical, "_g", counted)
+        evaluations = g_evaluations
         cases = []
         for dims, probs in (((30, 50), (0.7, 0.5)), ((10, 10, 20), (0.8, 0.7, 0.6)),
                             ((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2))):
@@ -442,6 +471,70 @@ class TestSolverWork:
             assert np.abs(sol.alpha_principal - ref).max() < 1e-10
             assert evaluations[0] <= ref_evaluations
             assert sol.iterations <= ref_sweeps
+
+    @pytest.mark.parametrize("dims, probs, points", [
+        pytest.param((30, 50), (0.7, 0.5), 2000, id="figure-1a"),
+        pytest.param((10, 10, 20), (0.8, 0.7, 0.6), 20000, id="det-sweep-d3"),
+        pytest.param((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2), 20000, id="det-sweep-d5"),
+    ])
+    def test_cli_grid_is_solved_warm(self, g_evaluations, dims, probs, points):
+        # the ladder alone reads 10.84, 13.90 and 13.38 g point-evaluations per
+        # point here; from their ladder neighbours the warm points take about 3
+        prob = build_problem(LatticeSpec(dims, probs))
+        grid = auto_grid(prob, points, 0.1)
+        solve_alpha(prob, grid + 1j * default_epsilon(grid))
+        assert g_evaluations[0] <= 4 * points
+
+    @pytest.mark.parametrize("grid", ["oracle", "eps-1e-8"])
+    def test_inputs_without_warm_points_keep_the_ladders_bits(self, grid):
+        # the oracle's grid shares no Im z between ladder points, and at
+        # eps = 1e-8 the 500-point grid's ladder points lie 32 spacings apart,
+        # far beyond 32 eps: the whole input takes the ladder. (Against one
+        # scalar solve per point the bits may still differ: numpy multiplies
+        # a one-element complex array in place without the vector loop's FMA.)
+        prob = build_problem(LatticeSpec((30, 50), (0.7, 0.5)))
+        if grid == "oracle":
+            zs = np.array(oracle_z_grid())
+        else:
+            zs = auto_grid(prob, 500, 0.1) + 1e-8j
+        got = solve_alpha(prob, zs).alpha_principal
+        assert np.array_equal(got, _ladder_only(prob, zs))
+
+    def test_unconverged_warm_points_fall_back_to_the_ladder(self, monkeypatch):
+        warm = []
+        solve_warm = canonical._warm_block
+
+        def unconverged(*args):
+            i, alpha, residual, sweeps = solve_warm(*args)
+            warm.append(i.size)
+            return i, alpha, np.full(residual.shape, np.inf), sweeps
+
+        monkeypatch.setattr(canonical, "_warm_block", unconverged)
+        prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
+        grid = auto_grid(prob, 500, 0.1)
+        zs = grid + 1j * default_epsilon(grid)
+        got = solve_alpha(prob, zs).alpha_principal
+        assert warm == [500 - 17]  # all but every 32nd point and the last
+        assert np.array_equal(got, _ladder_only(prob, zs))
+
+    def test_a_stalled_point_stops_sweeping(self):
+        # |r| stalls here at up to 1.3e-10, above 1e-12 but within g's rounding
+        # noise; without stall detection such a point waits out _MAX_SWEEPS
+        # (204 sweeps; 12 with it)
+        prob = build_problem(LatticeSpec((400,), (0.999999,)))
+        grid = auto_grid(prob, 200_000, 0.1)
+        sol = solve_alpha(prob, grid + 1j * default_epsilon(grid))
+        assert sol.residual > 1e-12  # accepted within the noise, not at 1e-12
+        assert sol.iterations <= canonical._MAX_SWEEPS // 10
+
+    def test_solver_error_still_fires_on_a_grid_with_warm_points(self, monkeypatch):
+        monkeypatch.setattr(canonical, "_MAX_SWEEPS", 1)
+        prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
+        grid = auto_grid(prob, 500, 0.1)
+        with pytest.raises(SolverError, match=r"^no convergence at z=\S+ after \d+ sweeps "
+                           r"\(residual \S+ > tol 1\.0e-12\)$") as info:
+            solve_alpha(prob, grid + 1j * default_epsilon(grid))
+        assert info.value.residual > 1e-12
 
     @pytest.mark.parametrize("n_atoms", [1, 4, 32])
     def test_buffered_g_is_bitwise_equal(self, n_atoms):

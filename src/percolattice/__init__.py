@@ -3,9 +3,11 @@
 from .canonical import (
     CanonicalProblem,
     CanonicalSolution,
+    GirkoConditionReport,
     OracleError,
     SolverError,
     build_problem,
+    girko_conditions,
     matrix_k1_oracle,
     recover_all_alphas,
     solve_alpha,
@@ -31,11 +33,6 @@ from .lattice import (
     node_count,
     supergraph_edges,
 )
-from .percolation import (
-    GirkoConditionReport,
-    PercolationSample,
-    girko_conditions,
-    sample,
-)
+from .percolation import PercolationSample, sample
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ whose unique solution with Im z * Im alpha > 0 is the transform of the
 deterministic equivalent distribution.  The reduction is not trusted on
 its own: matrix_k1_oracle takes the caller's alpha through one step of the
 full N x N canonical map, built from the edge listing with no closed form.
+girko_conditions gives the values of the equation's applicability conditions.
 """
 
 from __future__ import annotations
@@ -70,6 +71,34 @@ def build_problem(spec: LatticeSpec) -> CanonicalProblem:
         variance_sum=variance_sum(spec),
         atoms=atoms,
         weights=mults / node_count(spec),
+    )
+
+
+@dataclass(frozen=True)
+class GirkoConditionReport:
+    """Numeric values of the canonical-equation applicability conditions."""
+
+    mean_row_sum: float
+    variance_row_sum: float
+    max_entry_bound: float
+    min_scaled_variance: float
+
+
+def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:
+    """Closed-form condition values for the scaled adjacency model.
+
+    The row sums of B all equal gamma/gamma = 1; the centered entry at a
+    dimension-d link has variance p_d(1-p_d)/gamma^2 and magnitude at most
+    1/gamma.  The scaled-variance infimum is reported over link positions
+    only (off-link entries are deterministic).  No branch table is built.
+    """
+    gamma = expected_degree(spec)
+    min_scaled_variance = node_count(spec) * min(p * (1 - p) for p in spec.probs) / gamma**2
+    return GirkoConditionReport(
+        mean_row_sum=gamma / gamma,
+        variance_row_sum=variance_sum(spec),
+        max_entry_bound=1.0 / gamma,
+        min_scaled_variance=float(min_scaled_variance),
     )
 
 

@@ -17,6 +17,7 @@ from .canonical import (
     OracleError,
     SolverError,
     build_problem,
+    girko_conditions,
     matrix_k1_oracle,
     oracle_z_grid,
     solve_alpha,
@@ -27,7 +28,6 @@ from .inversion import auto_grid, cdf_from_density, check_epsilon, check_grid
 from .inversion import compare as compare_curves
 from .inversion import default_epsilon, density_curve, span_grid
 from .lattice import EIGENSOLVE_LIMIT, LatticeSpec, SizeLimitError, check_size, node_count
-from .percolation import girko_conditions
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -149,8 +149,8 @@ def cmd_simulate(spec: LatticeSpec, args: argparse.Namespace) -> int:
     if args.normalized:
         raise ValueError("normalized is a compare mode: its grid spans the "
                          "scaled-adjacency reference; use compare --normalized")
-    problem, grid, eps = _prepare(spec, args)
-    pooled = monte_carlo_spectrum(problem.spec, args.seed, args.trials)
+    _, grid, eps = _prepare(spec, args)
+    pooled = monte_carlo_spectrum(spec, args.seed, args.trials)
     f_emp, F_emp = _curves("empirical", grid, smoothed_density(pooled, grid, eps))
     _write_csv(args.output_path, {"x": grid, "f_emp": f_emp, "F_emp": F_emp})
     print(
@@ -178,9 +178,9 @@ def cmd_compare(spec: LatticeSpec, args: argparse.Namespace) -> int:
                                smoothed_density(ref, grid, eps))
     else:
         problem, grid, eps = _prepare(spec, args)
-        check_trials(problem.spec, args.seed, args.trials)  # before the deterministic solve
+        check_trials(spec, args.seed, args.trials)  # before the deterministic solve
         f_det, F_det = _deterministic_curves(problem, grid, eps)
-        pooled = monte_carlo_spectrum(problem.spec, args.seed, args.trials)
+        pooled = monte_carlo_spectrum(spec, args.seed, args.trials)
     f_emp, F_emp = _curves("empirical", grid, smoothed_density(pooled, grid, eps))
     report = compare_curves(grid, F_det, F_emp)
     _write_csv(args.output_path, {

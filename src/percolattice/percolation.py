@@ -12,15 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    ROW_CHUNK,
-    LatticeSpec,
-    expected_degree,
-    link_matrix,
-    node_count,
-    supergraph_edges,
-    variance_sum,
-)
+from .lattice import ROW_CHUNK, LatticeSpec, link_matrix, supergraph_edges
 
 
 @dataclass(frozen=True)
@@ -29,16 +21,6 @@ class PercolationSample:
 
     spec: LatticeSpec
     edges: np.ndarray  # kept rows (i, j, dim) of the listing drawn from, in its order
-
-
-@dataclass(frozen=True)
-class GirkoConditionReport:
-    """Numeric values of the canonical-equation applicability conditions."""
-
-    mean_row_sum: float
-    variance_row_sum: float
-    max_entry_bound: float
-    min_scaled_variance: float
 
 
 def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
@@ -70,23 +52,3 @@ def sample(spec: LatticeSpec, seed: int, edges=None) -> PercolationSample:
 def adjacency(sample: PercolationSample) -> np.ndarray:
     """Dense 0/1 adjacency of the sampled graph."""
     return link_matrix(sample.spec, sample.edges, [1.0] * sample.spec.ndim)
-
-
-def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:
-    """Closed-form condition values for the scaled adjacency model.
-
-    The row sums of B all equal gamma/gamma = 1; the centered entry at a
-    dimension-d link has variance p_d(1-p_d)/gamma^2 and magnitude at most
-    1/gamma.  The scaled-variance infimum is reported over link positions
-    only (off-link entries are deterministic).
-    """
-    gamma = expected_degree(spec)
-    n = node_count(spec)
-    mean_row_sum = sum(p * (m - 1) for p, m in zip(spec.probs, spec.dims)) / gamma
-    min_scaled_variance = n * min(p * (1 - p) for p in spec.probs) / gamma**2
-    return GirkoConditionReport(
-        mean_row_sum=float(mean_row_sum),
-        variance_row_sum=variance_sum(spec),
-        max_entry_bound=1.0 / gamma,
-        min_scaled_variance=float(min_scaled_variance),
-    )

@@ -12,6 +12,7 @@ import pytest
 
 from percolattice.canonical import (
     build_problem,
+    girko_conditions,
     matrix_k1_oracle,
     oracle_z_grid,
     solve_alpha,
@@ -46,7 +47,6 @@ from percolattice.lattice import (
     node_count,
     supergraph_edges,
 )
-from percolattice.percolation import girko_conditions
 
 from walk_moments import exact_moments
 

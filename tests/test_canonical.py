@@ -13,6 +13,7 @@ from percolattice.canonical import (
     SolverError,
     _solve_level,
     build_problem,
+    girko_conditions,
     matrix_k1_oracle,
     oracle_z_grid,
     recover_all_alphas,
@@ -230,6 +231,43 @@ class TestBuildProblem:
         prob = build_problem(spec)
         assert prob.atoms.tolist() == [-0.5, 0.25, 1.0]
         assert prob.weights.tolist() == [4 / 9, 4 / 9, 1 / 9]
+
+
+class TestGirkoConditions:
+    def test_figure_1a_values(self):
+        r = girko_conditions(LatticeSpec((30, 50), (0.7, 0.5)))
+        assert r.mean_row_sum == 1.0
+        assert r.variance_row_sum == pytest.approx(
+            (29 * 0.21 + 49 * 0.25) / 44.8**2, abs=1e-15
+        )
+        assert r.max_entry_bound == pytest.approx(1 / 44.8)
+
+    def test_no_randomness_when_probabilities_one(self):
+        r = girko_conditions(LatticeSpec((3, 4), (1.0, 1.0)))
+        assert r.variance_row_sum == 0.0
+        assert r.min_scaled_variance == 0.0
+
+    def test_variance_row_sum_is_the_solver_sigma2(self):
+        # bitwise: conditions must print the sigma^2 that solve_alpha uses
+        specs = [LatticeSpec((10, 10, 20), (0.8, 0.7, 0.6))]
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            d = int(rng.integers(1, 5))
+            dims = tuple(int(m) for m in rng.integers(2, 40, size=d))
+            probs = tuple(float(p) for p in rng.uniform(0.01, 1.0, size=d))
+            specs.append(LatticeSpec(dims, probs))
+        for spec in specs:
+            got = girko_conditions(spec).variance_row_sum
+            assert got == build_problem(spec).variance_sum, spec
+
+    def test_mean_row_sum_exactly_one_random_specs(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            d = int(rng.integers(1, 5))
+            dims = tuple(int(m) for m in rng.integers(2, 40, size=d))
+            probs = tuple(float(p) for p in rng.uniform(0.01, 1.0, size=d))
+            r = girko_conditions(LatticeSpec(dims, probs))
+            assert r.mean_row_sum == 1.0
 
 
 class TestSolveAlpha:

@@ -800,6 +800,20 @@ class TestConditions:
         values = dict(ln.split("=") for ln in out.strip().splitlines())
         assert float(values["max_entry_bound"]) == pytest.approx(1 / 24.9)
 
+    @pytest.mark.parametrize("dims, probs, lines", [
+        ("30,50", "0.7,0.5", ["mean_row_sum=1",
+                              "variance_row_sum=0.0091378348214285719",
+                              "max_entry_bound=0.022321428571428572",
+                              "min_scaled_variance=0.15694754464285718"]),
+        ("10,10,20", "0.8,0.7,0.6", ["mean_row_sum=1",
+                                     "variance_row_sum=0.012725601199980648",
+                                     "max_entry_bound=0.040160642570281124",
+                                     "min_scaled_variance=0.51612070773052043"]),
+    ], ids=["fig1a", "fig1b"])
+    def test_prints_these_bytes(self, capsys, dims, probs, lines):
+        assert main(["conditions", "--dims", dims, "--probs", probs]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+
 
 _JUNK = ["", "x", "nan", "inf", "-1", "1e400", "2.5", "true", "1,"]
 

@@ -3,7 +3,6 @@
 from .canonical import (
     CanonicalProblem,
     CanonicalSolution,
-    GirkoConditionReport,
     OracleError,
     SolverError,
     build_problem,

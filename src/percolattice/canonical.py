@@ -50,7 +50,6 @@ class OracleError(RuntimeError):
 class CanonicalProblem:
     """The scalar equation's data: sigma^2 and the merged branch atoms."""
 
-    spec: LatticeSpec
     variance_sum: float
     atoms: np.ndarray              # distinct b_j, ascending (expected_spectrum)
     weights: np.ndarray            # their merged multiplicities / N
@@ -58,7 +57,6 @@ class CanonicalProblem:
 
 @dataclass(frozen=True)
 class CanonicalSolution:
-    z: complex | np.ndarray
     alpha_principal: complex | np.ndarray
     residual: float
     iterations: int
@@ -67,39 +65,29 @@ class CanonicalSolution:
 def build_problem(spec: LatticeSpec) -> CanonicalProblem:
     atoms, mults = expected_spectrum(spec)
     return CanonicalProblem(
-        spec=spec,
         variance_sum=variance_sum(spec),
         atoms=atoms,
         weights=mults / node_count(spec),
     )
 
 
-@dataclass(frozen=True)
-class GirkoConditionReport:
-    """Numeric values of the canonical-equation applicability conditions."""
-
-    mean_row_sum: float
-    variance_row_sum: float
-    max_entry_bound: float
-    min_scaled_variance: float
-
-
-def girko_conditions(spec: LatticeSpec) -> GirkoConditionReport:
-    """Closed-form condition values for the scaled adjacency model.
+def girko_conditions(spec: LatticeSpec) -> dict[str, float]:
+    """Closed-form condition values for the scaled adjacency model, by name.
 
     The row sums of B all equal gamma/gamma = 1; the centered entry at a
     dimension-d link has variance p_d(1-p_d)/gamma^2 and magnitude at most
     1/gamma.  The scaled-variance infimum is reported over link positions
     only (off-link entries are deterministic).  No branch table is built.
+    The keys come in the order `conditions` prints them.
     """
     gamma = expected_degree(spec)
-    min_scaled_variance = node_count(spec) * min(p * (1 - p) for p in spec.probs) / gamma**2
-    return GirkoConditionReport(
-        mean_row_sum=gamma / gamma,
-        variance_row_sum=variance_sum(spec),
-        max_entry_bound=1.0 / gamma,
-        min_scaled_variance=float(min_scaled_variance),
-    )
+    min_variance = min(p * (1 - p) for p in spec.probs)
+    return {
+        "mean_row_sum": gamma / gamma,
+        "variance_row_sum": variance_sum(spec),
+        "max_entry_bound": 1.0 / gamma,
+        "min_scaled_variance": node_count(spec) * min_variance / gamma**2,
+    }
 
 
 # Grid points solved together. Beyond alpha and |r|, a grid costs one byte
@@ -289,6 +277,18 @@ def _solve_grid(atoms, weights, sig2, z):
     return alpha, residual, sweeps
 
 
+def _checked_z(caller: str, z) -> np.ndarray:
+    """z as a complex array, refused unless a scalar or 1-D, off the real axis and finite."""
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError(f"{caller} takes a scalar or a 1-D array of z")
+    if np.any(zs.imag == 0):
+        raise ValueError(f"{caller} requires Im z != 0")
+    if not np.all(np.isfinite(zs)):
+        raise ValueError(f"{caller} requires finite z")
+    return zs
+
+
 def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     """Solve the scalar self-consistency equation at z (Im z != 0 everywhere).
 
@@ -324,7 +324,10 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     of the one root, kappa = sigma^2 sum_j w_j / |b_j - omega|^2 (Ajanki,
     Erdos and Kruger, Mem. AMS 261, 2019). An input with no warm point, such
     as oracle_z_grid() or a grid whose ladder points differ in Im z or lie
-    farther apart, takes the ladder only and gets its bits.
+    farther apart, takes the ladder only and gets its bits. A scalar z can
+    still differ from the same z inside an array by rounding, 1.8e-14 at most
+    on Fig 1a's 500-point grid at Im z = 1e-8: numpy rounds _g's in-place
+    complex multiply into a one-element array without the vector loop's FMA.
 
     Returns alpha_principal with z's shape (a complex for scalar z), the
     worst |r| over the points and, as iterations, the largest number of
@@ -333,13 +336,7 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     if any z is real or not finite.
     """
     scalar = np.ndim(z) == 0
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if zs.ndim != 1:
-        raise ValueError("solve_alpha takes a scalar or a 1-D array of z")
-    if np.any(zs.imag == 0):
-        raise ValueError("solve_alpha requires Im z != 0")
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("solve_alpha requires finite z")
+    zs = np.atleast_1d(_checked_z("solve_alpha", z))
     atoms, weights = problem.atoms, problem.weights
     sig2 = problem.variance_sum
 
@@ -358,30 +355,29 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
                 residual=float(residual[worst]), iterations=sweeps,
             )
     return CanonicalSolution(
-        z=complex(zs[0]) if scalar else zs,
         alpha_principal=complex(alpha[0]) if scalar else alpha,
         residual=float(residual.max(initial=0.0)),
         iterations=max(sweeps, 1),
     )
 
 
-def recover_all_alphas(problem: CanonicalProblem, solution: CanonicalSolution) -> dict:
-    """Solve the full 2^D linear system for every resolvent coefficient.
+def recover_all_alphas(spec: LatticeSpec, z) -> dict:
+    """Solve the full 2^D linear system for every resolvent coefficient at z.
 
-    Takes the solution at one scalar z (ValueError for an array of z) and returns
-    the 2^D coefficients keyed by the index tuple i. The system matrix is the
-    Kronecker product over dimensions of the 2x2 factors [[M_d - 1, 1], [-1, 1]]
-    (rows j_d, columns i_d), each with determinant M_d >= 2, so it is solved one
-    axis at a time in O(D 2^D) with the factor inverses [[1, -1], [1, M_d - 1]] / M_d.
+    z is one scalar (ValueError for an array of z or a z solve_alpha refuses), at
+    which the scalar equation is solved first; returns the 2^D coefficients keyed
+    by the index tuple i. The system matrix is the Kronecker product over
+    dimensions of the 2x2 factors [[M_d - 1, 1], [-1, 1]] (rows j_d, columns i_d),
+    each with determinant M_d >= 2, so it is solved one axis at a time in
+    O(D 2^D) with the factor inverses [[1, -1], [1, M_d - 1]] / M_d.
     """
-    if np.ndim(solution.z) != 0:
-        raise ValueError("recover_all_alphas takes solve_alpha's solution at one "
-                         f"scalar z, not at z of shape {np.shape(solution.z)}")
-    spec = problem.spec
+    if np.ndim(z) != 0:
+        raise ValueError(f"recover_all_alphas takes one scalar z, not z of shape {np.shape(z)}")
+    problem = build_problem(spec)
+    alpha = solve_alpha(problem, z).alpha_principal
     d = spec.ndim
-    alpha = solution.alpha_principal
     values, _ = branch_table(spec)
-    rhs = 1.0 / (values - solution.z - problem.variance_sum * alpha)
+    rhs = 1.0 / (values - complex(z) - problem.variance_sum * alpha)
     coeff = rhs.reshape((2,) * d)
     for axis, m in enumerate(spec.dims):
         inverse = np.array([[1.0, -1.0], [1.0, m - 1.0]]) / m
@@ -435,10 +431,7 @@ def matrix_k1_oracle(spec: LatticeSpec, z, alpha):
     """
     n = node_count(spec)
     check_size("oracle", n, EIGENSOLVE_LIMIT)
-    zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1 or np.any(zs.imag == 0) or not np.all(np.isfinite(zs)):
-        raise ValueError("matrix_k1_oracle takes a scalar or 1-D array of finite z "
-                         "with Im z != 0")
+    zs = _checked_z("matrix_k1_oracle", z)
     sig2 = variance_sum(spec)
     alphas = np.broadcast_to(alpha, zs.shape)
     edges = supergraph_edges(spec)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -205,9 +204,8 @@ def cmd_oracle(spec: LatticeSpec, args: argparse.Namespace) -> int:
 
 
 def cmd_conditions(spec: LatticeSpec, args: argparse.Namespace) -> int:
-    report = girko_conditions(spec)
-    for f in fields(report):
-        print(f"{f.name}={getattr(report, f.name):.17g}")
+    for name, value in girko_conditions(spec).items():
+        print(f"{name}={value:.17g}")
     return EXIT_OK
 
 

@@ -852,7 +852,7 @@ def _argvs(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argvs())
 def test_every_argv_exits_with_a_documented_code(tmp_path, argv):

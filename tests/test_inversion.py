@@ -159,9 +159,9 @@ def test_cdf_matches_scipy_cumulative_trapezoid():
 
 class TestAutoGrid:
     def test_variance_zero_span(self):
-        prob = build_problem(LatticeSpec((4, 5), (1.0, 1.0)))
-        grid = auto_grid(prob, 100, margin=0.1)
-        b, _ = branch_table(prob.spec)
+        spec = LatticeSpec((4, 5), (1.0, 1.0))
+        grid = auto_grid(build_problem(spec), 100, margin=0.1)
+        b, _ = branch_table(spec)
         assert grid[0] == pytest.approx(b.min() - 0.1)
         assert grid[-1] == pytest.approx(b.max() + 0.1)
 

@@ -198,9 +198,9 @@ def _solve_level(atoms, weights, sig2, z, alpha, tol):
 
 
 def _solve_block(atoms, weights, sig2, z):
-    """Continuation in |Im z| from _START_IM down to each point's own |Im z|."""
+    """Continuation from -1/z in |Im z|, from _START_IM down to each point's own |Im z|."""
     y = np.abs(z.imag)
-    alpha = 1j * np.sign(z.imag)
+    alpha = -1.0 / np.where(y >= _START_IM, z, z.real + 1j * np.sign(z.imag) * _START_IM)
     residual = np.empty(z.shape)
     sweeps = 0
     im = _START_IM
@@ -265,7 +265,7 @@ def _solve_grid(atoms, weights, sig2, z):
     for lo in blocks:
         cold[_warm_points(z, lo)[0]] = False
     sweeps = _ladder_pass(atoms, weights, sig2, z, np.flatnonzero(cold), alpha, residual)
-    redo = []
+    redo = [np.empty(0, dtype=int)]
     for lo in blocks:
         i, a, r, n = _warm_block(atoms, weights, sig2, z, alpha, lo)
         alpha[i], residual[i] = a, r
@@ -295,14 +295,15 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     z is a complex scalar or a 1-D array of them, solved in two passes, each
     in blocks of _BLOCK points, on the distinct branch values (equal b_j
     merged). The ladder pass takes every 32nd point, the last point and every
-    point the warm pass cannot take. Each starts at i*sign(Im z) with
-    |Im z| = 2 and is continued down to its own |Im z|, dividing by 64 per
-    level; the solution at one level starts the next. The warm pass takes
-    every other point whose two ladder neighbours share its exact Im z and
-    lie at most 32 |Im z| apart in Re z, as on the CLI's grids: it starts
-    from their linear interpolation at its Re z, a convex combination that
-    stays on the half-plane, and runs the last level only. At each level
-    every unconverged point takes the Newton step
+    point the warm pass cannot take. Each starts at -1/w, every transform's
+    large-|z| limit, where w is its first level's z (z itself if |Im z| >= 2,
+    else Re z + 2i sign(Im z)), and is continued down to its own |Im z|,
+    dividing by 64 per level; the solution at one level starts the next. The
+    warm pass takes every other point whose two ladder neighbours share its
+    exact Im z and lie at most 32 |Im z| apart in Re z, as on the CLI's grids:
+    it starts from their linear interpolation at its Re z, a convex
+    combination that stays on the half-plane, and runs the last level only.
+    At each level every unconverged point takes the Newton step
     alpha <- alpha - r/(1 - g'(alpha)) on the residual r = alpha - g(alpha)
     if the iterate stays on its half-plane (Im z * Im alpha > 0) and |r|
     shrinks. Otherwise the point takes one step of the averaged map
@@ -317,6 +318,9 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     |r| <= eps_mach * sum_j w_j (|b_j| + |omega|) / |b_j - omega|^2.
     A point whose Newton step is rejected within that noise stops sweeping.
     A warm point that meets neither bound is solved again by the ladder.
+    At sigma^2 = 0 (every p_d = 1) g = sum_j w_j / (b_j - z) for every alpha, so
+    one Newton step lands on it, unless Im g is below Im alpha's rounding and the
+    averaged map takes the point to the absolute bound only.
 
     A warm point's alpha depends on its ladder neighbours, so it can differ
     from the point's scalar solve, but only within the solver's accuracy:
@@ -331,29 +335,24 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
 
     Returns alpha_principal with z's shape (a complex for scalar z), the
     worst |r| over the points and, as iterations, the largest number of
-    vectorized sweeps any block of either pass needed. Raises SolverError
-    naming the worst point if any point meets neither bound, and ValueError
-    if any z is real or not finite.
+    vectorized sweeps any block of either pass needed; an empty z gives an
+    empty alpha_principal and residual 0.0. Raises SolverError naming the worst
+    point if any point meets neither bound, and ValueError if any z is real
+    or not finite.
     """
     scalar = np.ndim(z) == 0
     zs = np.atleast_1d(_checked_z("solve_alpha", z))
-    atoms, weights = problem.atoms, problem.weights
-    sig2 = problem.variance_sum
+    atoms, weights, sig2 = problem.atoms, problem.weights, problem.variance_sum
 
-    if sig2 == 0.0:
-        alpha, _ = _g(atoms, weights, 0.0, zs, np.zeros_like(zs))
-        residual = np.zeros(zs.shape)
-        sweeps = 1
-    else:
-        alpha, residual, sweeps = _solve_grid(atoms, weights, sig2, zs)
-        failed = np.flatnonzero(~_converged(atoms, weights, sig2, zs, alpha, residual))
-        if failed.size:
-            worst = int(failed[np.argmax(residual[failed])])
-            raise SolverError(
-                f"no convergence at z={complex(zs[worst])} after {sweeps} sweeps "
-                f"(residual {residual[worst]:.3e} > tol {_TOL:.1e})",
-                residual=float(residual[worst]), iterations=sweeps,
-            )
+    alpha, residual, sweeps = _solve_grid(atoms, weights, sig2, zs)
+    failed = np.flatnonzero(~_converged(atoms, weights, sig2, zs, alpha, residual))
+    if failed.size:
+        worst = int(failed[np.argmax(residual[failed])])
+        raise SolverError(
+            f"no convergence at z={complex(zs[worst])} after {sweeps} sweeps "
+            f"(residual {residual[worst]:.3e} > tol {_TOL:.1e})",
+            residual=float(residual[worst]), iterations=sweeps,
+        )
     return CanonicalSolution(
         alpha_principal=complex(alpha[0]) if scalar else alpha,
         residual=float(residual.max(initial=0.0)),

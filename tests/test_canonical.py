@@ -299,6 +299,21 @@ class TestSolveAlpha:
         exact = np.sum(mults / (b - z)) / node_count(spec)
         assert sol.residual == 0.0
         assert abs(sol.alpha_principal - exact) < 1e-15
+        # on the CLI's grids too, solved by the same passes as every other
+        # spec. |alpha| reaches 6.0e3 there, so the transform is summed in
+        # long double; measured error 8.0e-13 (Fig 1b) and 6.4e-13 (D = 5)
+        for dims in ((10, 10, 20), (3, 4, 5, 6, 7)):
+            spec = LatticeSpec(dims, (1.0,) * len(dims))
+            prob = build_problem(spec)
+            grid = auto_grid(prob, 20_000, 0.1)
+            zs = grid + 1j * default_epsilon(grid)
+            sol = solve_alpha(prob, zs)
+            b, mults = branch_table(spec)
+            w = (mults / node_count(spec)).astype(np.longdouble)
+            exact = np.sum(w[:, None] / (b.astype(np.longdouble)[:, None]
+                                         - zs.astype(np.clongdouble)), axis=0)
+            assert sol.residual <= 1e-12
+            assert np.abs(sol.alpha_principal - exact).max() <= 1e-12
 
     def test_small_case_matches_oracle(self):
         spec = LatticeSpec((2,), (0.5,))
@@ -463,10 +478,20 @@ class TestSolveAlpha:
             assert abs(ac - a.conjugate()) < 1e-11
 
     def test_tail_asymptotics(self):
-        prob = build_problem(LatticeSpec((4, 5), (0.7, 0.5)))
-        for z in (1e3j, 700 + 700j):
-            a = solve_alpha(prob, z).alpha_principal
-            assert abs(a * (-z) - 1) < 1e-3
+        # a start at i*sign(Im z) met the absolute residual rule at 1e20(1+i)
+        # with alpha 25% off -1/z; each point now starts at -1/z
+        for probs in ((0.7, 0.5), (1.0, 1.0)):
+            prob = build_problem(LatticeSpec((4, 5), probs))
+            for z in (1e3j, 700 + 700j, 1e20 * (1 + 1j), 1e100 * (1 + 1j), 1e200 + 1j):
+                a = solve_alpha(prob, z).alpha_principal
+                assert abs(a * (-z) - 1) < 1e-3, (probs, z)
+
+    @pytest.mark.parametrize("probs", [(0.7, 0.5), (1.0, 1.0)])
+    def test_empty_z(self, probs):
+        sol = solve_alpha(build_problem(LatticeSpec((4, 5), probs)), np.array([], dtype=complex))
+        assert sol.alpha_principal.shape == (0,)
+        assert sol.alpha_principal.dtype == complex
+        assert sol.residual == 0.0
 
 
 @pytest.fixture
@@ -517,6 +542,8 @@ class TestSolverWork:
         pytest.param((30, 50), (0.7, 0.5), 2000, id="figure-1a"),
         pytest.param((10, 10, 20), (0.8, 0.7, 0.6), 20000, id="det-sweep-d3"),
         pytest.param((3, 4, 5, 6, 7), (0.9, 0.7, 0.5, 0.3, 0.2), 20000, id="det-sweep-d5"),
+        pytest.param((10, 10, 20), (1.0, 1.0, 1.0), 20000, id="figure-1b-p1"),
+        pytest.param((3, 4, 5, 6, 7), (1.0,) * 5, 20000, id="d5-p1"),
     ])
     def test_cli_grid_is_solved_warm(self, g_evaluations, dims, probs, points):
         # the ladder alone reads 10.84, 13.90 and 13.38 g point-evaluations per

@@ -139,19 +139,18 @@ def _g(atoms, weights, sig2, z, alpha):
     return g, sig2 * gp
 
 
-def _noise(atoms, weights, omega):
-    """eps_mach * sum_k w_k (|b_k| + |omega|) / |b_k - omega|^2: g's rounding noise."""
-    with np.errstate(all="ignore"):
-        return np.finfo(float).eps * sum(
-            w * (abs(b) + np.abs(omega)) / np.abs(b - omega) ** 2
-            for b, w in zip(atoms, weights))
-
-
 def _converged(atoms, weights, sig2, z, alpha, residual):
-    """Per point: |r| <= _TOL, or else |r| within g's rounding noise (NaN fails both)."""
+    """Per point: |r| <= _TOL, or else |r| within g's rounding noise where
+    b_k - omega cancels, omega = z + sig2*alpha (NaN fails both):
+    eps_mach * sum_k w_k (|b_k| + |omega|) / |b_k - omega|^2."""
     ok = residual <= _TOL
     miss = np.flatnonzero(~ok)
-    ok[miss] = residual[miss] <= _noise(atoms, weights, z[miss] + sig2 * alpha[miss])
+    omega = z[miss] + sig2 * alpha[miss]
+    with np.errstate(all="ignore"):
+        noise = np.finfo(float).eps * sum(
+            w * (abs(b) + np.abs(omega)) / np.abs(b - omega) ** 2
+            for b, w in zip(atoms, weights))
+    ok[miss] = residual[miss] <= noise
     return ok
 
 
@@ -162,8 +161,8 @@ def _solve_level(atoms, weights, sig2, z, alpha, tol):
     stays on the point's half-plane and shrinks |r|, and one step of the
     averaged map otherwise. g and g' are evaluated once at the new iterate
     and reused by the next sweep. A point whose Newton step is rejected
-    while |r| is within g's rounding noise has stalled: it keeps its alpha
-    and sweeps no more. Returns alpha, |residual| and the sweep count.
+    while _converged already accepts its alpha has stalled: it keeps its
+    alpha and sweeps no more. Returns alpha, |residual| and the sweep count.
     """
     s = np.sign(z.imag)
     g, gp = _g(atoms, weights, sig2, z, alpha)
@@ -181,9 +180,9 @@ def _solve_level(atoms, weights, sig2, z, alpha, tol):
         ok = s[act] * new.imag > 0
         ga[ok], gpa[ok] = _g(atoms, weights, sig2, za[ok], new[ok])
         ok[ok] = np.abs(new[ok] - ga[ok]) < np.abs(ra[ok])
-        # a rejected step at |r| within g's rounding noise: the point has stalled
+        # a rejected step at an accepted alpha: the point has stalled
         stall = ~ok
-        stall[stall] = np.abs(ra[stall]) <= _noise(atoms, weights, za[stall] + sig2 * aa[stall])
+        stall[stall] = _converged(atoms, weights, sig2, za[stall], aa[stall], np.abs(ra[stall]))
         # averaged map (alpha + g(alpha)) / 2 = alpha - r / 2: it maps the
         # half-plane into itself, so it converges from any start
         back = ~(ok | stall)
@@ -197,34 +196,25 @@ def _solve_level(atoms, weights, sig2, z, alpha, tol):
     return alpha, np.abs(r), sweeps
 
 
-def _solve_block(atoms, weights, sig2, z):
-    """Continuation from -1/z in |Im z|, from _START_IM down to each point's own |Im z|."""
-    y = np.abs(z.imag)
-    alpha = -1.0 / np.where(y >= _START_IM, z, z.real + 1j * np.sign(z.imag) * _START_IM)
-    residual = np.empty(z.shape)
-    sweeps = 0
-    im = _START_IM
-    todo = np.ones(z.shape, dtype=bool)
-    while todo.any():
-        idx = np.flatnonzero(todo)
-        final = y[idx] >= im
-        zk = np.where(final, z[idx], z.real[idx] + 1j * np.sign(z.imag[idx]) * im)
-        level_tol = np.where(final, _TOL, _LEVEL_TOL)
-        alpha[idx], residual[idx], n = _solve_level(
-            atoms, weights, sig2, zk, alpha[idx], level_tol)
-        sweeps += n
-        todo[idx[final]] = False
-        im /= _LEVEL_RATIO
-    return alpha, residual, sweeps
-
-
 def _ladder_pass(atoms, weights, sig2, z, points, alpha, residual):
-    """The ladder on z[points], _BLOCK points at a time, written into alpha and
+    """Continuation from -1/z in |Im z| on z[points], _BLOCK points at a time,
+    from _START_IM down to each point's own |Im z|, written into alpha and
     residual. Returns the most sweeps a block needed."""
     sweeps = 0
     for lo in range(0, points.size, _BLOCK):
         p = points[lo:lo + _BLOCK]
-        alpha[p], residual[p], n = _solve_block(atoms, weights, sig2, z[p])
+        y = np.abs(z.imag[p])
+        alpha[p] = -1.0 / np.where(y >= _START_IM, z[p],
+                                   z.real[p] + 1j * np.sign(z.imag[p]) * _START_IM)
+        n, im = 0, _START_IM
+        while p.size:
+            final = y >= im
+            zk = np.where(final, z[p], z.real[p] + 1j * np.sign(z.imag[p]) * im)
+            alpha[p], residual[p], k = _solve_level(
+                atoms, weights, sig2, zk, alpha[p], np.where(final, _TOL, _LEVEL_TOL))
+            n += k
+            p, y = p[~final], y[~final]
+            im /= _LEVEL_RATIO
         sweeps = max(sweeps, n)
     return sweeps
 
@@ -240,24 +230,12 @@ def _warm_points(z, lo):
     return i[warm], left[warm], right[warm]
 
 
-def _warm_block(atoms, weights, sig2, z, alpha, lo):
-    """The last level alone for the warm points of z[lo:lo + _BLOCK], each started
-    on the line between its ladder points' alpha. Returns their indices, alpha,
-    |residual| and the sweep count."""
-    i, left, right = _warm_points(z, lo)
-    x = z.real
-    dx = x[right] - x[left]
-    t = np.divide(x[i] - x[left], dx, out=np.zeros(dx.shape), where=dx != 0)
-    np.clip(t, 0.0, 1.0, out=t)
-    # a convex combination of two points of the half-plane lies on it
-    start = alpha[left] + t * (alpha[right] - alpha[left])
-    return (i, *_solve_level(atoms, weights, sig2, z[i], start, _TOL))
-
-
 def _solve_grid(atoms, weights, sig2, z):
-    """The ladder on every point that is not warm, then the warm points block by
-    block, then the ladder again on each warm point that meets neither
-    acceptance bound. Returns alpha, |residual| and the most sweeps of a block."""
+    """The ladder on every point that is not warm, then block by block the
+    last level alone for the warm points, each started on the line between
+    its ladder points' alpha, and the ladder again on each of them that meets
+    neither acceptance bound. Returns alpha, |residual| and the most sweeps
+    of a block."""
     alpha = np.empty_like(z)
     residual = np.empty(z.shape)
     blocks = range(0, z.size, _BLOCK)
@@ -265,15 +243,17 @@ def _solve_grid(atoms, weights, sig2, z):
     for lo in blocks:
         cold[_warm_points(z, lo)[0]] = False
     sweeps = _ladder_pass(atoms, weights, sig2, z, np.flatnonzero(cold), alpha, residual)
-    redo = [np.empty(0, dtype=int)]
+    x = z.real
     for lo in blocks:
-        i, a, r, n = _warm_block(atoms, weights, sig2, z, alpha, lo)
-        alpha[i], residual[i] = a, r
-        sweeps = max(sweeps, n)
-        redo.append(i[~_converged(atoms, weights, sig2, z[i], a, r)])
-    redo = np.concatenate(redo)
-    if redo.size:
-        sweeps = max(sweeps, _ladder_pass(atoms, weights, sig2, z, redo, alpha, residual))
+        i, left, right = _warm_points(z, lo)
+        dx = x[right] - x[left]
+        t = np.divide(x[i] - x[left], dx, out=np.zeros(dx.shape), where=dx != 0)
+        np.clip(t, 0.0, 1.0, out=t)
+        # a convex combination of two points of the half-plane lies on it
+        start = alpha[left] + t * (alpha[right] - alpha[left])
+        alpha[i], residual[i], n = _solve_level(atoms, weights, sig2, z[i], start, _TOL)
+        redo = i[~_converged(atoms, weights, sig2, z[i], alpha[i], residual[i])]
+        sweeps = max(sweeps, n, _ladder_pass(atoms, weights, sig2, z, redo, alpha, residual))
     return alpha, residual, sweeps
 
 
@@ -316,8 +296,10 @@ def solve_alpha(problem: CanonicalProblem, z) -> CanonicalSolution:
     within the rounding noise of g's terms where b_j - omega cancels,
     omega = z + sigma^2 alpha:
     |r| <= eps_mach * sum_j w_j (|b_j| + |omega|) / |b_j - omega|^2.
-    A point whose Newton step is rejected within that noise stops sweeping.
-    A warm point that meets neither bound is solved again by the ladder.
+    A point whose Newton step is rejected while this rule accepts it stops
+    sweeping.
+    A warm point that meets neither bound is solved again by the ladder
+    before the next block's warm points start.
     At sigma^2 = 0 (every p_d = 1) g = sum_j w_j / (b_j - z) for every alpha, so
     one Newton step lands on it, unless Im g is below Im alpha's rounding and the
     averaged map takes the point to the absolute bound only.

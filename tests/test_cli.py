@@ -17,6 +17,8 @@ from percolattice.canonical import OracleError, SolverError
 from percolattice.cli import main
 from percolattice.inversion import compare
 
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
 
 def _counting(calls, name, fn):
     """fn, adding each call to calls[name]."""
@@ -261,6 +263,25 @@ class TestSolve:
         assert capsys.readouterr().err == ""
         with open(out) as fh:
             assert sum(1 for _ in fh) == points + 1
+
+    @pytest.mark.parametrize("workload, name, argv", [
+        ("det-sweep", "fig1b-solve", ["--dims", "10,10,20", "--probs", "0.8,0.7,0.6",
+                                      "--grid-points", "20000"]),
+        ("det-sweep", "d5-solve", ["--dims", "3,4,5,6,7", "--probs", "0.9,0.7,0.5,0.3,0.2",
+                                   "--grid-points", "20000"]),
+        ("fig1a-compare", "fig1a", ["--dims", "30,50", "--probs", "0.7,0.5"]),
+    ])
+    def test_det_columns_match_the_benchmark_references(self, tmp_path, workload, name,
+                                                        argv):
+        # the deterministic columns of perfbench/reference/*.npz, within
+        # perfbench/check.py's DET_TOL; the solver's drift from them reads
+        # 3.4e-12, 2.2e-12 and 1.0e-12 here
+        out = tmp_path / "det.csv"
+        assert main(["solve", *argv, "--output", str(out)]) == 0
+        _, cols = read_csv(out)
+        with np.load(REFERENCE_DIR / f"{workload}.npz") as ref:
+            for column in ("x", "f_det", "F_det"):
+                assert np.abs(cols[column] - ref[f"{name}.{column}"]).max() <= 1e-10, column
 
 
 class TestEigensolveFailure:
